@@ -90,17 +90,46 @@ void ServerPool::Init(const std::vector<ReplicaSpec>& specs) {
   designs_.reserve(specs.size());
   serves_.reserve(specs.size());
   free_at_.reserve(specs.size());
+  free_by_workload_.resize(dfgs_.size());
+  free_by_node_.resize(dfgs_.size());
   for (const ReplicaSpec& spec : specs) {
     AppendReplica(spec, /*ready_s=*/0.0);
   }
 
-  for (int w = 0; w < workloads(); ++w) {
-    bool covered = false;
-    for (int r = 0; r < size() && !covered; ++r) {
-      covered = serves_[static_cast<std::size_t>(r)]
-                       [static_cast<std::size_t>(w)];
+  for (const FreeSet& capable : free_by_workload_) {
+    NSF_CHECK_MSG(!capable.empty(), "workload has no replica able to serve it");
+  }
+}
+
+template <typename Change>
+void ServerPool::Reindex(int replica, Change&& change) {
+  IndexReplica(replica, /*insert=*/false);
+  change();
+  IndexReplica(replica, /*insert=*/true);
+}
+
+void ServerPool::IndexReplica(int replica, bool insert) {
+  const auto r = static_cast<std::size_t>(replica);
+  if (draining_[r]) {
+    return;  // Draining replicas take no new work: never selectable.
+  }
+  const std::pair<double, int> key{free_at_[r], replica};
+  const auto n = static_cast<std::size_t>(node_of_[r]);
+  for (std::size_t w = 0; w < dfgs_.size(); ++w) {
+    if (!serves_[r][w]) {
+      continue;
     }
-    NSF_CHECK_MSG(covered, "workload has no replica able to serve it");
+    std::vector<FreeSet>& by_node = free_by_node_[w];
+    if (by_node.size() <= n) {
+      by_node.resize(n + 1);
+    }
+    if (insert) {
+      free_by_workload_[w].insert(key);
+      by_node[n].insert(key);
+    } else {
+      free_by_workload_[w].erase(key);
+      by_node[n].erase(key);
+    }
   }
 }
 
@@ -168,6 +197,7 @@ void ServerPool::AppendReplica(const ReplicaSpec& spec, double ready_s) {
   node_of_.push_back(0);
   dead_.emplace_back();
   derates_.emplace_back();
+  IndexReplica(size() - 1, /*insert=*/true);
 }
 
 bool ServerPool::IsTunedFor(WorkloadId tuned_for, WorkloadId workload) const {
@@ -414,49 +444,35 @@ void ServerPool::WarmPairs(
   }
 }
 
-double ServerPool::EarliestFree() const {
-  double earliest = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < size(); ++r) {
-    if (!draining_[static_cast<std::size_t>(r)]) {
-      earliest = std::min(earliest, free_at_[static_cast<std::size_t>(r)]);
-    }
+const ServerPool::FreeSet* ServerPool::Selectable(WorkloadId workload,
+                                                  int node) const {
+  NSF_CHECK(workload >= 0 && workload < workloads());
+  const auto w = static_cast<std::size_t>(workload);
+  if (node < 0) {
+    return &free_by_workload_[w];
   }
-  return earliest;
+  const std::vector<FreeSet>& by_node = free_by_node_[w];
+  return static_cast<std::size_t>(node) < by_node.size()
+             ? &by_node[static_cast<std::size_t>(node)]
+             : nullptr;
 }
 
 double ServerPool::EarliestFree(WorkloadId workload) const {
-  NSF_CHECK(workload >= 0 && workload < workloads());
-  double earliest = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < size(); ++r) {
-    if (!draining_[static_cast<std::size_t>(r)] &&
-        serves_[static_cast<std::size_t>(r)]
-               [static_cast<std::size_t>(workload)]) {
-      earliest =
-          std::min(earliest, free_at_[static_cast<std::size_t>(r)]);
-    }
-  }
-  return earliest;
+  return EarliestFree(workload, -1);
 }
 
 double ServerPool::EarliestFree(WorkloadId workload, int node) const {
-  NSF_CHECK(workload >= 0 && workload < workloads());
-  double earliest = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < size(); ++r) {
-    if (!draining_[static_cast<std::size_t>(r)] &&
-        node_of_[static_cast<std::size_t>(r)] == node &&
-        serves_[static_cast<std::size_t>(r)]
-               [static_cast<std::size_t>(workload)]) {
-      earliest =
-          std::min(earliest, free_at_[static_cast<std::size_t>(r)]);
-    }
-  }
-  return earliest;
+  const FreeSet* selectable = Selectable(workload, node);
+  return selectable == nullptr || selectable->empty()
+             ? std::numeric_limits<double>::infinity()
+             : selectable->begin()->first;
 }
 
 void ServerPool::SetReplicaNode(int replica, int node) {
   NSF_CHECK(replica >= 0 && replica < size());
   NSF_CHECK_MSG(node >= 0, "cluster node must be non-negative");
-  node_of_[static_cast<std::size_t>(replica)] = node;
+  Reindex(replica,
+          [&] { node_of_[static_cast<std::size_t>(replica)] = node; });
 }
 
 int ServerPool::NodeOf(int replica) const {
@@ -465,22 +481,15 @@ int ServerPool::NodeOf(int replica) const {
 }
 
 bool ServerPool::NodeCanServe(WorkloadId workload, int node) const {
-  NSF_CHECK(workload >= 0 && workload < workloads());
-  for (int r = 0; r < size(); ++r) {
-    if (!draining_[static_cast<std::size_t>(r)] &&
-        node_of_[static_cast<std::size_t>(r)] == node &&
-        serves_[static_cast<std::size_t>(r)]
-               [static_cast<std::size_t>(workload)]) {
-      return true;
-    }
-  }
-  return false;
+  const FreeSet* selectable = Selectable(workload, node);
+  return selectable != nullptr && !selectable->empty();
 }
 
 void ServerPool::ResetSchedule() {
   // Replicas warm-added mid-run stay unavailable before their ready time.
-  for (std::size_t r = 0; r < free_at_.size(); ++r) {
-    free_at_[r] = added_at_[r];
+  for (int r = 0; r < size(); ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    Reindex(r, [&] { free_at_[i] = added_at_[i]; });
   }
   dispatched_batches_ = 0;
 }
@@ -498,13 +507,9 @@ void ServerPool::CheckNoOrphans(int replica,
     if (!serves_[rs][w] || (keep != nullptr && (*keep)[w])) {
       continue;  // Not losing this workload's coverage.
     }
-    bool covered = false;
-    for (int other = 0; other < size() && !covered; ++other) {
-      covered = other != replica &&
-                !draining_[static_cast<std::size_t>(other)] &&
-                serves_[static_cast<std::size_t>(other)][w];
-    }
-    NSF_CHECK_MSG(covered,
+    // Callers only pass non-draining replicas, so `replica` itself is one
+    // of the capable set's members: coverage needs a second one.
+    NSF_CHECK_MSG(free_by_workload_[w].size() > 1,
                   "reconfiguration would leave a workload with no replica "
                   "able to serve it");
   }
@@ -515,7 +520,7 @@ void ServerPool::DrainReplica(int replica, double now_s) {
   const auto r = static_cast<std::size_t>(replica);
   NSF_CHECK_MSG(!draining_[r], "replica is already draining");
   CheckNoOrphans(replica, nullptr);
-  draining_[r] = true;
+  Reindex(replica, [&] { draining_[r] = true; });
   // In-flight work finishes; an idle replica retires at the decision time.
   retired_at_[r] = std::max(now_s, free_at_[r]);
 }
@@ -527,7 +532,7 @@ int ServerPool::DrainAll(double now_s) {
     if (draining_[i]) {
       continue;  // Already drained (autoscaler retire or a repeat call).
     }
-    draining_[i] = true;
+    Reindex(r, [&] { draining_[i] = true; });
     // In-flight work finishes; an idle replica retires at the drain point.
     retired_at_[i] = std::max(now_s, free_at_[i]);
     ++drained;
@@ -546,10 +551,12 @@ void ServerPool::RefitInPlace(int replica, const ReplicaSpec& spec,
   designs_[r] = spec.design;
   kind_[r] = KindFor(spec);
   replicas_[r] = InstantiateReplica(spec, serves);
-  serves_[r] = std::move(serves);
-  // The in-flight batch (if any) finishes on the old deployment before the
-  // refit replica comes up.
-  free_at_[r] = std::max(free_at_[r], ready_s);
+  Reindex(replica, [&] {
+    serves_[r] = std::move(serves);
+    // The in-flight batch (if any) finishes on the old deployment before
+    // the refit replica comes up.
+    free_at_[r] = std::max(free_at_[r], ready_s);
+  });
 }
 
 bool ServerPool::draining(int replica) const {
@@ -628,7 +635,8 @@ void ServerPool::FailReplica(int replica, double fail_s, double recover_s,
   // The schedule jumps past the outage: dispatch's argmin then routes
   // around the dark replica (or correctly books post-recovery work on it
   // when every survivor is busier).
-  free_at_[r] = std::max(free_at_[r], recover_s + warmup_s);
+  Reindex(replica,
+          [&] { free_at_[r] = std::max(free_at_[r], recover_s + warmup_s); });
 }
 
 void ServerPool::SetDerate(int replica, double factor, double from_s,
@@ -730,22 +738,14 @@ DispatchRecord ServerPool::Dispatch(const Batch& batch, ServeStats* stats,
                                     double record_tail_s) {
   NSF_CHECK_MSG(batch.size() > 0, "cannot dispatch an empty batch");
   // Earliest-available replica among those deployed for the batch's
-  // workload, ties to the lowest id. Draining replicas take no new work —
-  // their in-flight batch is the last thing they run. A non-negative
-  // `node` further narrows to that cluster node's replicas.
-  int choice = -1;
-  for (int r = 0; r < size(); ++r) {
-    if (!CanServe(r, batch.workload) ||
-        draining_[static_cast<std::size_t>(r)] ||
-        (node >= 0 && node_of_[static_cast<std::size_t>(r)] != node)) {
-      continue;
-    }
-    if (choice < 0 || free_at_[static_cast<std::size_t>(r)] <
-                          free_at_[static_cast<std::size_t>(choice)]) {
-      choice = r;
-    }
-  }
-  NSF_CHECK_MSG(choice >= 0, "no replica serves the batch's workload");
+  // workload, ties to the lowest id: the head of the workload's index.
+  // Draining replicas take no new work — their in-flight batch is the last
+  // thing they run. A non-negative `node` further narrows to that cluster
+  // node's replicas.
+  const FreeSet* selectable = Selectable(batch.workload, node);
+  NSF_CHECK_MSG(selectable != nullptr && !selectable->empty(),
+                "no replica serves the batch's workload");
+  const int choice = selectable->begin()->second;
   DispatchRecord record;
   record.batch_index = dispatched_batches_++;
   record.replica = choice;
@@ -760,7 +760,9 @@ DispatchRecord ServerPool::Dispatch(const Batch& batch, ServeStats* stats,
   }
   record.complete_s = record.start_s + service;
   record.size = batch.size();
-  free_at_[static_cast<std::size_t>(choice)] = record.complete_s;
+  Reindex(choice, [&] {
+    free_at_[static_cast<std::size_t>(choice)] = record.complete_s;
+  });
 
   if (stats != nullptr) {
     stats->RecordBatch(batch.workload, batch.size(), queue_depth);

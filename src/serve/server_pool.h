@@ -25,6 +25,11 @@
 //      timeline. The engine interleaves this with batch forming so
 //      `EarliestFree(workload)` can stretch the forming wait while every
 //      capable replica is busy.
+// Replica selection never scans the pool: the pool keeps an ordered
+// `(free_at, replica id)` index per workload and per (workload, node),
+// holding the non-draining replicas deployed for that workload. The
+// earliest-free probes are one `begin()` read, and a dispatch re-keys the
+// chosen replica in O(log R) (docs/PERFORMANCE.md, "Replica selection").
 // Splitting model evaluation from assignment keeps results independent of
 // thread scheduling: same designs + same batch stream -> same dispatch.
 #pragma once
@@ -155,13 +160,13 @@ class ServerPool {
   void WarmBatchSizes(std::int64_t max_batch,
                       const std::vector<WorkloadId>& only);
 
-  /// Earliest virtual time any replica is free (0 while one is idle) under
-  /// the current schedule — the batch former's wait-extension signal.
-  double EarliestFree() const;
-  /// Same, restricted to replicas able to serve `workload`.
+  /// Earliest virtual time a non-draining replica able to serve `workload`
+  /// is free under the current schedule (+inf when none is) — the batch
+  /// former's wait-extension signal. O(1): one index read.
   double EarliestFree(WorkloadId workload) const;
   /// Same, further restricted to `workload`-capable replicas pinned to
-  /// cluster `node` (the cluster router's per-node schedule probe).
+  /// cluster `node` (the cluster router's per-node schedule probe); a
+  /// negative `node` means every node, as in Dispatch.
   double EarliestFree(WorkloadId workload, int node) const;
 
   // ---- Cluster node tags (serve/cluster.h). Every replica belongs to
@@ -173,8 +178,8 @@ class ServerPool {
   void SetReplicaNode(int replica, int node);
   /// The cluster node `replica` is pinned to (0 by default).
   int NodeOf(int replica) const;
-  /// Whether `node` holds at least one non-draining replica able to serve
-  /// `workload`. (Failed replicas still count — their schedule already
+  /// Whether `node` (every node when negative) holds at least one
+  /// non-draining replica able to serve `workload`. O(1). (Failed replicas still count — their schedule already
   /// carries the outage, so the least-loaded router prices them out while
   /// the hash router deliberately stays sticky through faults.)
   bool NodeCanServe(WorkloadId workload, int node) const;
@@ -301,6 +306,9 @@ class ServerPool {
   }
 
  private:
+  /// One replica-selection index set: (free_at, replica id), ascending.
+  using FreeSet = std::set<std::pair<double, int>>;
+
   /// Replicas sharing a design share cache entries; kind_[r] indexes the
   /// distinct-design table. The workload id completes the key because the
   /// cycle model is a function of (design, dataflow graph, batch size).
@@ -346,6 +354,20 @@ class ServerPool {
   /// Throws when draining `replica` (or stripping `keep` of its workload
   /// set) would leave some workload without a non-draining capable replica.
   void CheckNoOrphans(int replica, const std::vector<bool>* keep) const;
+  /// Run `change` — which may rewrite `replica`'s free_at_, draining_,
+  /// serves_ or node_of_ — with the replica taken out of the selection
+  /// index, then file it back under its new state. Every write to those
+  /// four fields goes through here, so the index cannot go stale.
+  template <typename Change>
+  void Reindex(int replica, Change&& change);
+  /// Insert `replica` into (or erase it from) the index sets its current
+  /// state files it under: none while draining, else one per-workload and
+  /// one per-(workload, node) set for each workload it serves.
+  void IndexReplica(int replica, bool insert);
+  /// The index set of `workload`'s selectable replicas: pool-wide when
+  /// `node` < 0, else that cluster node's (null for a node no capable
+  /// replica was ever pinned to).
+  const FreeSet* Selectable(WorkloadId workload, int node) const;
   /// Kind index for `spec` (dedup against existing kinds, else a new one).
   int KindFor(const ReplicaSpec& spec);
   /// Whether a design with provenance `tuned_for` carries a tuned
@@ -377,6 +399,14 @@ class ServerPool {
   std::vector<double> added_at_;                     // Provisioning time.
   std::vector<double> retired_at_;                   // +inf while active.
   std::vector<int> node_of_;                         // Cluster node tag.
+
+  /// Replica-selection index (kept by Reindex). `free_by_workload_[w]`
+  /// orders the non-draining replicas deployed for `w` by (free_at, id),
+  /// so begin() is exactly the strict-`<` ascending-id argmin dispatch
+  /// has always picked; `free_by_node_[w][n]` is the same per cluster
+  /// node (grown as nodes appear).
+  std::vector<FreeSet> free_by_workload_;
+  std::vector<std::vector<FreeSet>> free_by_node_;
 
   /// Environment-fault intervals (adversity engine). Time-ordered and
   /// non-overlapping per replica; empty vectors on healthy pools keep the

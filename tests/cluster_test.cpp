@@ -3,10 +3,13 @@
 // hand-computed dataflow footprints, router determinism under a fixed
 // seed, the single-node bit-identity contract (a one-node cluster's
 // artifacts are byte-identical to a cluster-free run), cross-node pricing
-// (remote dispatch is never free), node-scoped fault injection, and the
-// planner's cross-node placement with its JSON round-trip.
+// (remote dispatch is never free), node-scoped fault injection, the
+// pool's per-(workload, node) replica-selection index against a brute-force
+// scan, and the planner's cross-node placement with its JSON round-trip.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -270,6 +273,155 @@ TEST(ClusterServeTest, NodeFailureWithoutClusterIsSkippedLoudly) {
     skipped |= event.event.find("node failure skipped") != std::string::npos;
   }
   EXPECT_TRUE(skipped);
+}
+
+// ------------------------------------------ replica-selection index
+
+/// The replica dispatch must pick, found the way the pool did before it
+/// kept an index: scan every replica through the public accessors for the
+/// earliest-free non-draining `workload`-capable one (`node` < 0 = any
+/// node), ties to the lowest id. -1 when none qualifies.
+int BruteForceChoice(const ServerPool& pool, WorkloadId workload, int node) {
+  int choice = -1;
+  for (int r = 0; r < pool.size(); ++r) {
+    if (pool.draining(r) || !pool.CanServe(r, workload) ||
+        (node >= 0 && pool.NodeOf(r) != node)) {
+      continue;
+    }
+    if (choice < 0 || pool.FreeAt(r) < pool.FreeAt(choice)) {
+      choice = r;
+    }
+  }
+  return choice;
+}
+
+void ExpectIndexMatchesScan(const ServerPool& pool, int nodes,
+                            const std::string& where) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (WorkloadId w = 0; w < pool.workloads(); ++w) {
+    const int any = BruteForceChoice(pool, w, -1);
+    EXPECT_EQ(pool.EarliestFree(w), any < 0 ? inf : pool.FreeAt(any))
+        << where << " workload " << w;
+    for (int n = 0; n < nodes; ++n) {
+      const int on_node = BruteForceChoice(pool, w, n);
+      EXPECT_EQ(pool.EarliestFree(w, n),
+                on_node < 0 ? inf : pool.FreeAt(on_node))
+          << where << " workload " << w << " node " << n;
+      EXPECT_EQ(pool.NodeCanServe(w, n), on_node >= 0)
+          << where << " workload " << w << " node " << n;
+    }
+  }
+}
+
+TEST(ServerPoolIndexTest, RandomOperationSequencesMatchBruteForceScan) {
+  WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  registry.RegisterBuiltin("resnet18");
+  constexpr int kNodes = 3;
+  // Worst-tenant provisioning, so any replica can be refit to either.
+  const std::vector<AcceleratorDesign> designs = {
+      registry.ProvisionDesign(0), registry.ProvisionDesign(1)};
+  // Deployments drawn at random: either tenant alone, or both (empty set).
+  const std::vector<std::vector<WorkloadId>> sets = {{0}, {1}, {}};
+
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](int n) {
+      return std::uniform_int_distribution<int>(0, n - 1)(rng);
+    };
+    const auto random_spec = [&] {
+      const int d = pick(2);
+      return ReplicaSpec{designs[static_cast<std::size_t>(d)],
+                         sets[static_cast<std::size_t>(pick(3))],
+                         pick(2) == 0 ? d : kTunedForNone};
+    };
+    // Coarse times so equal free_at keys (the lowest-id tie-break) recur.
+    const auto coarse = [&](double base) { return base + 1e-3 * pick(3); };
+
+    std::vector<ReplicaSpec> specs = {{designs[0], {0}, 0},
+                                      {designs[1], {1}, 1}};
+    for (int i = 0; i < 4; ++i) {
+      specs.push_back(random_spec());
+    }
+    ServerPool pool(specs, registry.Dataflows(), 1);
+    for (int r = 0; r < pool.size(); ++r) {
+      pool.SetReplicaNode(r, pick(kNodes));
+    }
+    ExpectIndexMatchesScan(pool, kNodes, "initial");
+
+    double t = 0.0;
+    std::int64_t request_id = 0;
+    for (int step = 0; step < 300; ++step) {
+      t += 1e-3 * pick(4);
+      const int op = pick(10);
+      const int replica = pick(pool.size());
+      const std::string where = "seed " + std::to_string(seed) + " step " +
+                                std::to_string(step) + " op " +
+                                std::to_string(op);
+      // Refused operations (orphaning a workload, re-draining, ...) must
+      // leave the index untouched, so they are tried, not avoided.
+      try {
+        switch (op) {
+          case 0:
+            if (pool.size() < 16) {
+              const int added = pool.AddReplica(random_spec(), coarse(t));
+              if (pick(2) == 0) {  // Else it stays on node 0.
+                pool.SetReplicaNode(added, pick(kNodes));
+              }
+            }
+            break;
+          case 1:
+            pool.FailReplica(replica, t, t + 1e-3 * (1 + pick(20)),
+                             1e-3 * pick(3));
+            break;
+          case 2:
+            pool.RefitInPlace(replica, random_spec(), coarse(t));
+            break;
+          case 3:
+            if (pick(3) == 0) {  // Drains are rarer: they shrink the pool.
+              pool.DrainReplica(replica, t);
+            }
+            break;
+          case 4:
+            pool.SetReplicaNode(replica, pick(kNodes));
+            break;
+          case 5:
+            if (pick(10) == 0) {
+              pool.ResetSchedule();
+            }
+            break;
+          default: {
+            Batch batch;
+            batch.workload = pick(2);
+            batch.formed_s = coarse(t);
+            const int size = 1 + pick(8);
+            for (int i = 0; i < size; ++i) {
+              batch.requests.push_back(
+                  Request{request_id++, batch.formed_s, batch.workload});
+            }
+            const int node = pick(kNodes + 1) - 1;  // -1 = any node.
+            const int expected = BruteForceChoice(pool, batch.workload, node);
+            if (expected < 0) {
+              EXPECT_THROW(pool.Dispatch(batch, nullptr, 0, node), Error)
+                  << where;
+            } else {
+              EXPECT_EQ(pool.Dispatch(batch, nullptr, 0, node).replica,
+                        expected)
+                  << where;
+            }
+            break;
+          }
+        }
+      } catch (const Error&) {
+      }
+      ExpectIndexMatchesScan(pool, kNodes, where);
+      if (::testing::Test::HasFailure()) {
+        return;  // One divergence is enough; the rest would cascade.
+      }
+    }
+    pool.DrainAll(t);
+    ExpectIndexMatchesScan(pool, kNodes, "after DrainAll");
+  }
 }
 
 // --------------------------------------------------- planner placement
