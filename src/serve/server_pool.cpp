@@ -585,6 +585,20 @@ int ServerPool::ActiveReplicas(double t) const {
   return active;
 }
 
+double ServerPool::LiveFraction(double t) const {
+  int live = 0;
+  int dark = 0;
+  for (int r = 0; r < size(); ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    if (added_at_[i] <= t && t < retired_at_[i]) {
+      ++(Failed(r, t) ? dark : live);
+    }
+  }
+  return live + dark > 0
+             ? static_cast<double>(live) / static_cast<double>(live + dark)
+             : 1.0;
+}
+
 double ServerPool::ReplicaSeconds(double horizon_s) const {
   double total = 0.0;
   for (int r = 0; r < size(); ++r) {

@@ -226,8 +226,13 @@ class ServerPool {
   double AddedAt(int replica) const;
   /// When `replica` retired (+inf while active).
   double RetiredAt(int replica) const;
-  /// Replicas provisioned at virtual time `t` (added and not yet retired).
+  /// Replicas provisioned at virtual time `t` (added and not yet retired)
+  /// and not dark at `t`.
   int ActiveReplicas(double t) const;
+  /// Live share of the replicas provisioned at `t`: live / (live + dark),
+  /// counted in one pass — the admission controller's overload signal
+  /// (docs/ADMISSION.md). 1 when nothing is provisioned.
+  double LiveFraction(double t) const;
   /// FPGA time the pool consumed over [0, horizon_s): the integral of the
   /// active-replica count — the elastic-vs-static efficiency metric
   /// (docs/AUTOSCALING.md).

@@ -5,8 +5,8 @@
 // graceful-drain conservation (every offered request is accounted exactly
 // once), fixed-seed bit-determinism of admission-controlled runs, and the
 // flash-crowd x admission composition pin — superimposed flash arrivals
-// route through the same per-tenant accounting as base traffic
-// (docs/ADMISSION.md).
+// route through the same per-tenant accounting as base traffic — and the
+// live-replica fraction the overload stage reads (docs/ADMISSION.md).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +20,7 @@
 #include "serve/adversity.h"
 #include "serve/batch_former.h"
 #include "serve/engine.h"
+#include "serve/server_pool.h"
 #include "serve/workload_registry.h"
 
 namespace nsflow::serve {
@@ -419,6 +420,61 @@ TEST(AdmissionTest, FlashCrowdArrivalsRouteThroughTenantAccounting) {
     quota_sheds += row.shed_quota;
   }
   EXPECT_GT(quota_sheds, 0);
+}
+
+// ------------------------------------------------------ live fraction
+
+TEST(AdmissionTest, LiveFractionCountsEachDarkReplicaOnce) {
+  // docs/ADMISSION.md: live / provisioned. A dark replica is provisioned
+  // but not live, so one of four dark is 3/4 and two of four is 1/2.
+  WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  registry.RegisterBuiltin("resnet18");
+  // Partitioned: mlp on replicas {0, 2}, resnet18 on {1, 3}.
+  ServerPool pool(registry.ReplicaSpecs(4, true), registry.Dataflows(), 1);
+  EXPECT_EQ(pool.LiveFraction(0.5), 1.0);
+  pool.FailReplica(0, 1.0, 3.0);
+  EXPECT_EQ(pool.LiveFraction(1.5), 0.75);
+  pool.FailReplica(1, 2.0, 3.0);
+  EXPECT_EQ(pool.LiveFraction(2.5), 0.5);
+  EXPECT_EQ(pool.LiveFraction(3.5), 1.0);
+  // Retired replicas are not provisioned: they count neither way.
+  pool.DrainReplica(3, 4.0);
+  EXPECT_EQ(pool.LiveFraction(5.0), 1.0);
+}
+
+TEST(AdmissionTest, OneDarkReplicaOfFourStaysAtTheLiveThreshold) {
+  // One of four replicas fails for half the run. The live fraction is
+  // exactly 3/4, which is not below `live=0.75`, and the backlog never
+  // nears `depth`: the overload stage must shed nothing.
+  WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  registry.RegisterBuiltin("resnet18");
+  const std::vector<ReplicaSpec> replicas = registry.ReplicaSpecs(4, true);
+  const std::vector<WorkloadShare> mix = {{"mlp", 0.5}, {"resnet18", 0.5}};
+  ServeOptions options;
+  options.qps = 100.0;
+  options.duration_s = 2.0;
+  options.seed = 7;
+  options.adversity =
+      AdversitySpec::Parse("replica-fail:at=0.5,down=1,replica=0");
+  options.admission = AdmissionSpec::Parse("overload:depth=100000,live=0.75");
+  options.tiers = {SlaTier::kCritical, SlaTier::kBatch};
+  const ServeReport report = RunSyntheticServe(registry, replicas, mix,
+                                               options);
+  ASSERT_EQ(report.admission.size(), 2u);
+  for (const AdmissionTenantSummary& row : report.admission) {
+    EXPECT_GT(row.offered, 0) << row.tenant;
+    EXPECT_EQ(row.shed_overload, 0) << row.tenant;
+  }
+
+  // Past the threshold it does shed: two of four dark is 1/2 < 3/4.
+  options.adversity =
+      AdversitySpec::Parse("replica-fail:at=0.5,down=1,replica=0,count=2");
+  const ServeReport two_dark = RunSyntheticServe(registry, replicas, mix,
+                                                 options);
+  ASSERT_EQ(two_dark.admission.size(), 2u);
+  EXPECT_GT(two_dark.admission[1].shed_overload, 0);
 }
 
 }  // namespace
