@@ -30,6 +30,14 @@
 // additionally writes the traced run's Chrome JSON, which the CI
 // bench-smoke job uploads as an artifact.
 //
+// A sixth section gates the replica scale curve (docs/PERFORMANCE.md,
+// "Replica selection"): one fixed-seed partitioned mlp/resnet18 run at
+// 16, 64, 256 and 1024 replicas, with the same request count and the same
+// per-replica load at every size (qps proportional to replicas). It
+// records host ns per request at each size, and the bench exits non-zero
+// when the 1024-replica figure exceeds 1.5x the 16-replica one from the
+// same process.
+//
 // Usage: bench_serve_fastpath [--out BENCH_serve.json] [--smoke]
 //                             [--trace-out trace.json]
 #include <algorithm>
@@ -405,6 +413,56 @@ int main(int argc, char** argv) {
     std::printf("Wrote %s\n", trace_out_path.c_str());
   }
 
+  // ------------------------------------------------ replica scale curve
+  // Host cost per request must not grow with the pool: every size serves
+  // the same request count at the same per-replica load (wide-pool's
+  // 90k rps over 1024 replicas), so only the replica count differs. Sizes
+  // interleave within each round and each keeps its best round, so a
+  // stretch of host noise cannot land on one size alone.
+  const std::vector<int> scale_replicas = {16, 64, 256, 1024};
+  const double scale_qps_per_replica = 90000.0 / 1024.0;
+  const double scale_requests = smoke ? 100000.0 : 252000.0;
+  const int scale_rounds = smoke ? 3 : 5;
+  const double scale_gate_ratio = 1.5;
+  serve::WorkloadRegistry scale_registry;
+  scale_registry.RegisterBuiltin("mlp");
+  scale_registry.RegisterBuiltin("resnet18");
+  const std::vector<serve::WorkloadShare> scale_mix =
+      serve::ParseMix("mlp=0.5,resnet18=0.5");
+  std::vector<double> scale_ns(scale_replicas.size(), 0.0);
+  std::vector<std::int64_t> scale_generated(scale_replicas.size(), 0);
+  for (int round = 0; round < scale_rounds; ++round) {
+    for (std::size_t i = 0; i < scale_replicas.size(); ++i) {
+      const int replicas = scale_replicas[i];
+      serve::ServeOptions scale_options;
+      scale_options.qps = scale_qps_per_replica * replicas;
+      scale_options.duration_s = scale_requests / scale_options.qps;
+      scale_options.seed = 7;
+      scale_options.worker_threads = 1;
+      const auto start = Clock::now();
+      const serve::ServeReport run = serve::RunSyntheticServe(
+          scale_registry, scale_registry.ReplicaSpecs(replicas, true),
+          scale_mix, scale_options);
+      const double ns = ElapsedNs(start) /
+                        static_cast<double>(run.generated_requests);
+      sink += static_cast<double>(run.summary.completed);
+      scale_generated[i] = run.generated_requests;
+      if (round == 0 || ns < scale_ns[i]) {
+        scale_ns[i] = ns;
+      }
+    }
+  }
+  const double scale_ratio = scale_ns.back() / scale_ns.front();
+  const bool scale_gate_ok = scale_ratio <= scale_gate_ratio;
+  for (std::size_t i = 0; i < scale_replicas.size(); ++i) {
+    std::printf("Scale: %4d replicas, %lld requests -> %.0f ns/request\n",
+                scale_replicas[i],
+                static_cast<long long>(scale_generated[i]), scale_ns[i]);
+  }
+  std::printf("Scale ratio %d/%d replicas: %.2fx (gate %.1fx) %s\n",
+              scale_replicas.back(), scale_replicas.front(), scale_ratio,
+              scale_gate_ratio, scale_gate_ok ? "OK" : "FAIL");
+
   // ------------------------------------------------------------ emit JSON
   JsonObject cold_cache;
   cold_cache["cache_entries"] = Json(static_cast<std::int64_t>(evals.size()));
@@ -453,6 +511,26 @@ int main(int argc, char** argv) {
   event_core["legacy_over_event"] = Json(legacy_over_event);
   event_core["run_events_per_s"] = Json(run_events_per_s);
 
+  JsonArray scale_points;
+  for (std::size_t i = 0; i < scale_replicas.size(); ++i) {
+    JsonObject point;
+    point["replicas"] = Json(scale_replicas[i]);
+    point["qps"] = Json(scale_qps_per_replica * scale_replicas[i]);
+    point["requests"] = Json(scale_generated[i]);
+    point["ns_per_request"] = Json(scale_ns[i]);
+    scale_points.push_back(Json(std::move(point)));
+  }
+  JsonObject scale;
+  scale["mix"] = Json("mlp=0.5,resnet18=0.5");
+  scale["partitioned"] = Json(true);
+  scale["seed"] = Json(7);
+  scale["rounds"] = Json(scale_rounds);
+  scale["qps_per_replica"] = Json(scale_qps_per_replica);
+  scale["points"] = Json(std::move(scale_points));
+  scale["ratio"] = Json(scale_ratio);
+  scale["gate_ratio"] = Json(scale_gate_ratio);
+  scale["ok"] = Json(scale_gate_ok);
+
   JsonObject contract;
   contract["checked"] = Json(static_cast<std::int64_t>(evals.size()));
   contract["divergent"] = Json(divergent);
@@ -465,6 +543,7 @@ int main(int argc, char** argv) {
   root["serve"] = Json(std::move(serve_run));
   root["event_core"] = Json(std::move(event_core));
   root["obs_overhead"] = Json(std::move(obs_overhead));
+  root["scale"] = Json(std::move(scale));
   root["contract"] = Json(std::move(contract));
   root["checksum_sink"] = Json(sink);  // Keeps the timed loops honest.
 
@@ -488,6 +567,14 @@ int main(int argc, char** argv) {
                  "FAIL: observability overhead %.3fx exceeds the 5%% gate "
                  "(off %.3f ms, on %.3f ms)\n",
                  obs_ratio, obs_off_ms, obs_on_ms);
+    return 1;
+  }
+  if (!scale_gate_ok) {
+    std::fprintf(stderr,
+                 "FAIL: %d-replica ns/request is %.2fx the %d-replica "
+                 "figure, above the %.1fx scale gate\n",
+                 scale_replicas.back(), scale_ratio, scale_replicas.front(),
+                 scale_gate_ratio);
     return 1;
   }
   if (!event_gate_ok) {

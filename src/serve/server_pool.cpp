@@ -457,10 +457,6 @@ const ServerPool::FreeSet* ServerPool::Selectable(WorkloadId workload,
              : nullptr;
 }
 
-double ServerPool::EarliestFree(WorkloadId workload) const {
-  return EarliestFree(workload, -1);
-}
-
 double ServerPool::EarliestFree(WorkloadId workload, int node) const {
   const FreeSet* selectable = Selectable(workload, node);
   return selectable == nullptr || selectable->empty()

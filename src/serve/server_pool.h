@@ -29,7 +29,8 @@
 // `(free_at, replica id)` index per workload and per (workload, node),
 // holding the non-draining replicas deployed for that workload. The
 // earliest-free probes are one `begin()` read, and a dispatch re-keys the
-// chosen replica in O(log R) (docs/PERFORMANCE.md, "Replica selection").
+// chosen replica in O(log R) per workload it serves (docs/PERFORMANCE.md,
+// "Replica selection").
 // Splitting model evaluation from assignment keeps results independent of
 // thread scheduling: same designs + same batch stream -> same dispatch.
 #pragma once
@@ -162,12 +163,11 @@ class ServerPool {
 
   /// Earliest virtual time a non-draining replica able to serve `workload`
   /// is free under the current schedule (+inf when none is) — the batch
-  /// former's wait-extension signal. O(1): one index read.
-  double EarliestFree(WorkloadId workload) const;
-  /// Same, further restricted to `workload`-capable replicas pinned to
-  /// cluster `node` (the cluster router's per-node schedule probe); a
-  /// negative `node` means every node, as in Dispatch.
-  double EarliestFree(WorkloadId workload, int node) const;
+  /// former's wait-extension signal. A `node` >= 0 restricts it to the
+  /// replicas pinned to that cluster node (the cluster router's per-node
+  /// schedule probe); negative means every node, as in Dispatch. O(1): one
+  /// index read.
+  double EarliestFree(WorkloadId workload, int node = -1) const;
 
   // ---- Cluster node tags (serve/cluster.h). Every replica belongs to
   // node 0 until a ClusterPool pins it elsewhere; the tags only narrow
@@ -179,9 +179,10 @@ class ServerPool {
   /// The cluster node `replica` is pinned to (0 by default).
   int NodeOf(int replica) const;
   /// Whether `node` (every node when negative) holds at least one
-  /// non-draining replica able to serve `workload`. O(1). (Failed replicas still count — their schedule already
-  /// carries the outage, so the least-loaded router prices them out while
-  /// the hash router deliberately stays sticky through faults.)
+  /// non-draining replica able to serve `workload`. O(1). (Failed replicas
+  /// still count — their schedule already carries the outage, so the
+  /// least-loaded router prices them out while the hash router
+  /// deliberately stays sticky through faults.)
   bool NodeCanServe(WorkloadId workload, int node) const;
 
   /// Forget the schedule (every replica free at the time it was added, 0
@@ -407,9 +408,9 @@ class ServerPool {
 
   /// Replica-selection index (kept by Reindex). `free_by_workload_[w]`
   /// orders the non-draining replicas deployed for `w` by (free_at, id),
-  /// so begin() is exactly the strict-`<` ascending-id argmin dispatch
-  /// has always picked; `free_by_node_[w][n]` is the same per cluster
-  /// node (grown as nodes appear).
+  /// so begin() is the earliest-free one, ties to the lowest id;
+  /// `free_by_node_[w][n]` is the same per cluster node (grown as nodes
+  /// appear).
   std::vector<FreeSet> free_by_workload_;
   std::vector<std::vector<FreeSet>> free_by_node_;
 

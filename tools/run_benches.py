@@ -31,6 +31,13 @@ regression. Metrics come in two classes:
 Improvements never fail the gate. `--delta-out` writes the full
 per-metric comparison as JSON (the CI bench-smoke job uploads it).
 
+Scale gate: BENCH_serve.json's `scale` section records host ns/request at
+16, 64, 256 and 1024 replicas under the same load per replica, and their
+1024/16 ratio from one process. The ratio is gated at the artifact's
+`gate_ratio` (1.5) on every run, whatever the baseline says; under
+`--compare` it also rides in the delta report, and an artifact without the
+section fails as missing.
+
 Usage:
   tools/run_benches.py [--build-dir build] [--out BENCH_serve.json]
                        [--plan-out BENCH_plan.json] [--smoke] [--full]
@@ -106,6 +113,13 @@ def collect_metrics(serve_report, plan_report):
                 ("obs_overhead.ratio", obs["ratio"], "lower", "wall"),
                 ("obs_overhead.on_wall_ms", obs["on_wall_ms"],
                  "lower", "wall"),
+            ]
+        scale = serve_report.get("scale")
+        if scale is not None:
+            metrics += [
+                ("scale.ratio", scale["ratio"], "lower", "wall"),
+                ("scale.ns_per_request_1024",
+                 scale["points"][-1]["ns_per_request"], "lower", "wall"),
             ]
         event_core = serve_report.get("event_core")
         if event_core is not None:
@@ -270,8 +284,8 @@ def main():
     result = run(cmd)
     if result.returncode != 0:
         print("error: bench_serve_fastpath failed "
-              "(estimator/functional divergence, or the observability "
-              "overhead gate tripped)",
+              "(estimator/functional divergence, or the observability, "
+              "event-core or replica scale gate tripped)",
               file=sys.stderr)
         return result.returncode
 
@@ -303,6 +317,16 @@ def main():
         print(f"obs overhead: off {obs['off_wall_ms']:.3f} ms -> on "
               f"{obs['on_wall_ms']:.3f} ms ({obs['ratio']:.2f}x, gate "
               f"{obs['gate_ratio']:.2f}x + {obs['gate_epsilon_ms']:.1f} ms)")
+    scale = report.get("scale")
+    if scale is not None:
+        points = ", ".join(f"{p['replicas']}: {p['ns_per_request']:.0f}"
+                           for p in scale["points"])
+        print(f"scale: ns/request by replicas {points}; ratio "
+              f"{scale['ratio']:.2f}x (gate {scale['gate_ratio']:.1f}x)")
+        if not scale["ok"] or scale["ratio"] > scale["gate_ratio"]:
+            print("error: host ns/request grows with the replica count "
+                  "beyond the scale gate", file=sys.stderr)
+            return 1
     event_core = report.get("event_core")
     if event_core is not None:
         if not event_core["ok"]:
