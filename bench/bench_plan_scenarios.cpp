@@ -32,8 +32,10 @@
 // the two-tenant mix planned across a 2-node cluster and served through
 // the cluster router while one whole node fails at the diurnal crest,
 // gated on the critical tenant holding its p99 SLO, every cross-node
-// dispatch carrying non-zero modeled network time, and same-seed
-// bit-identity.
+// dispatch carrying non-zero modeled network time, same-seed
+// bit-identity, and the shared trace invariants (tests/trace_invariants.h)
+// on the traced repeat — per-tenant conservation among them. The section
+// records offered/admitted/shed/expired/completed per SLA tier.
 //
 // Usage: bench_plan_scenarios [--out BENCH_plan.json] [--smoke]
 #include <chrono>
@@ -47,6 +49,7 @@
 #include "serve/capacity_planner.h"
 #include "serve/engine.h"
 #include "serve/scenario.h"
+#include "../tests/trace_invariants.h"
 
 namespace {
 
@@ -511,9 +514,16 @@ int main(int argc, char** argv) {
       elastic_registry, cluster_plan.Replicas(), elastic_mix,
       cluster_options);
   const double cluster_ms = ElapsedMs(cluster_start);
+  // The repeat runs traced (tracing never changes virtual results) so the
+  // trace invariants can check it.
+  serve::ServeOptions traced_cluster_options = cluster_options;
+  traced_cluster_options.trace.enabled = true;
   const serve::ServeReport clustered_again = serve::RunSyntheticServe(
       elastic_registry, cluster_plan.Replicas(), elastic_mix,
-      cluster_options);
+      traced_cluster_options);
+  const std::vector<std::string> cluster_invariants =
+      serve::CheckServeInvariants(clustered_again,
+                                  clustered_again.obs->recorder.Drain());
 
   double cluster_critical_p99_ms = 0.0;
   for (const serve::TierSummary& tier : clustered.summary.per_tier) {
@@ -559,6 +569,44 @@ int main(int argc, char** argv) {
                  "CLUSTER VIOLATION: two same-seed clustered runs "
                  "diverged\n");
   }
+  if (!cluster_invariants.empty()) {
+    ++violations;
+    std::fprintf(stderr,
+                 "CLUSTER VIOLATION: %zu trace invariant(s) broken, first: "
+                 "%s\n",
+                 cluster_invariants.size(), cluster_invariants[0].c_str());
+  }
+
+  // Request accounting per SLA tier: where the offered load went.
+  JsonObject cluster_tiers;
+  for (const serve::TierSummary& tier : clustered.summary.per_tier) {
+    std::int64_t offered = 0;
+    std::int64_t admitted = 0;
+    std::int64_t shed = 0;
+    std::int64_t expired = 0;
+    for (const serve::AdmissionTenantSummary& row : clustered.admission) {
+      if (row.tier == tier.tier) {
+        offered += row.offered;
+        admitted += row.admitted;
+        shed += row.shed();
+        expired += row.expired;
+      }
+    }
+    JsonObject accounting;
+    accounting["offered"] = Json(offered);
+    accounting["admitted"] = Json(admitted);
+    accounting["shed"] = Json(shed);
+    accounting["expired"] = Json(expired);
+    accounting["completed"] = Json(tier.completed);
+    cluster_tiers[tier.name] = Json(std::move(accounting));
+    std::printf("  %-8s offered %lld, admitted %lld, shed %lld, expired "
+                "%lld, completed %lld\n",
+                tier.name.c_str(), static_cast<long long>(offered),
+                static_cast<long long>(admitted),
+                static_cast<long long>(shed),
+                static_cast<long long>(expired),
+                static_cast<long long>(tier.completed));
+  }
 
   JsonObject cluster;
   cluster["spec"] = Json(cluster_options.cluster.ToString());
@@ -577,6 +625,9 @@ int main(int argc, char** argv) {
   cluster["completed"] = Json(clustered.summary.completed);
   cluster["generated"] = Json(clustered.generated_requests);
   cluster["bit_identical"] = Json(cluster_bit_identical);
+  cluster["per_tier"] = Json(std::move(cluster_tiers));
+  cluster["invariant_violations"] =
+      Json(static_cast<std::int64_t>(cluster_invariants.size()));
   cluster["wall_ms"] = Json(cluster_ms);
 
   JsonObject tolerance;

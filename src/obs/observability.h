@@ -5,7 +5,7 @@
 // constructs one `Observability` per traced run: the TraceRecorder takes
 // the lifecycle events, the MetricsRegistry takes the aggregate
 // instruments the components publish into (ServeStats latencies,
-// BatchFormer close reasons, ServerPool cache hits, Autoscaler decisions),
+// batch former close reasons, ServerPool cache hits, Autoscaler decisions),
 // and `meta` collects what the Chrome exporter needs for track naming.
 // `ServeReport::obs` hands the bundle back to the caller, who exports with
 // ChromeTraceJson / BinaryTrace / MetricsJson.
@@ -32,8 +32,8 @@ struct ObsOptions {
   bool enabled = false;
   /// Export expansion (recording cost is identical either way).
   TraceDetail detail = TraceDetail::kSpans;
-  /// > 0: per-shard ring buffers keeping only the newest records (long
-  /// runs); 0: unbounded pools.
+  /// > 0: ring buffers keeping only the newest request and batch records
+  /// (long runs); 0: unbounded pools.
   std::size_t ring_capacity = 0;
   /// Virtual-time cadence of metrics-timeline snapshots.
   double snapshot_interval_s = 0.25;

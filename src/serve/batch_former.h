@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "serve/request.h"
@@ -33,40 +32,10 @@ struct BatchPolicy {
   double max_wait_s = 5e-3;
 };
 
-class BatchFormer {
- public:
-  explicit BatchFormer(BatchPolicy policy);
-
-  /// Feed the next request (arrival order). Returns a closed batch when the
-  /// policy fires; the new request is never part of a batch closed by its
-  /// own arrival's deadline check (it arrived after the deadline).
-  /// `busy_until` is the earliest time any server frees up (0 when one is
-  /// already idle): the wait deadline stretches to it, growing batches from
-  /// backlog while dispatch would stall anyway.
-  std::optional<Batch> Add(const Request& request, double busy_until = 0.0);
-
-  /// Close the pending batch at `now` (stream drained / engine shutdown).
-  std::optional<Batch> Flush(double now);
-
-  /// Virtual deadline of the pending batch (+inf when nothing pends).
-  double Deadline() const;
-
-  std::int64_t pending() const {
-    return static_cast<std::int64_t>(pending_.size());
-  }
-  const BatchPolicy& policy() const { return policy_; }
-
- private:
-  Batch CloseAt(double formed_s, BatchCloseReason reason);
-
-  BatchPolicy policy_;
-  std::vector<Request> pending_;
-};
-
-/// Multi-tenant generalization of the BatchFormer: one pending lane per
-/// workload, identical close policy per lane, and a global notion of virtual
-/// time — *any* arrival can prove that another workload's pending batch
-/// passed its deadline and close it. Batches never mix workloads.
+/// The batch former: one pending lane per workload, one close policy per
+/// lane, and a global notion of virtual time — *any* arrival can prove that
+/// another workload's pending batch passed its deadline and close it.
+/// Batches never mix workloads. A single-workload pipeline runs one lane.
 ///
 /// Fairness: when several lanes are past their deadlines at the same
 /// arrival, they close oldest head-of-line first (the lane whose oldest
@@ -86,13 +55,15 @@ class MultiBatchFormer {
 
   /// Feed the next request (global arrival order). `busy_until[w]` is the
   /// earliest virtual time a replica able to serve workload `w` frees up
-  /// (0 when one is already idle); like the single-workload former, a
-  /// lane's wait deadline stretches to its busy horizon. Returns every
+  /// (0 when one is already idle); a lane's wait deadline stretches to its
+  /// busy horizon. Returns every
   /// batch this arrival closed, in fairness order.
   std::vector<Batch> Add(const Request& request,
                          const std::vector<double>& busy_until);
 
   /// Close all pending lanes at `now` (stream drained), fairness order.
+  /// Each lane closes no later than its wait deadline and no earlier than
+  /// its newest pending arrival.
   std::vector<Batch> Flush(double now);
 
   /// Virtual deadline of workload `w`'s pending batch (+inf when empty).
@@ -121,7 +92,7 @@ class MultiBatchFormer {
   /// Publish per-close-reason tallies into `registry`
   /// (`former.close_*` counters; docs/OBSERVABILITY.md). Null detaches.
   /// Counter pointers are resolved once here, so the close path publishes
-  /// with a plain atomic increment.
+  /// with a plain increment.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
   /// Returns a settled batch's request storage so the next lane close

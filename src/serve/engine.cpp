@@ -8,14 +8,12 @@
 #include <map>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "common/error.h"
 #include "serve/autoscaler.h"
 #include "serve/batch_former.h"
 #include "serve/event_core.h"
-#include "serve/request_queue.h"
 
 namespace nsflow::serve {
 
@@ -108,29 +106,20 @@ namespace {
 
 using event_core::EventClass;
 
-/// Shared pipeline state + event handlers (docs/ENGINE.md).
+/// Pipeline state + event handlers (docs/ENGINE.md).
 ///
-/// Two drivers advance the virtual clock over the same handler set:
-///
-///   * RunEventLoop — the discrete-event core (serve/event_core.h): one
-///     binary min-heap keyed (time, class, seq) schedules arrivals,
-///     adversity faults, autoscaler ticks, admission retries, and the
-///     drain; handlers fire in heap order. The default.
-///   * RunLegacyLoop — the pre-event-core polling interleave, preserved
-///     verbatim as the differential oracle (tests/event_core_test.cpp)
-///     and the bench's old-vs-new wall reference.
-///
-/// Both produce the identical call sequence into the former, pool,
-/// autoscaler, admission controller, stats, and trace recorder — the
-/// same-instant ordering contract (adversity < tick < retry < arrival <
-/// drain) is explicit in EventClass and was derived from, and is pinned
-/// against, the legacy interleave. Lane closes, dispatches, batch
-/// completions, admission sweeps, and metric snapshots are *not* heap
-/// events: the eager scheduler books batches onto replicas ahead of the
-/// clock (a dispatch at virtual time t is decided when forming closes the
-/// batch, which can be earlier than t), so those stay consequences inside
-/// the handlers — docs/ENGINE.md walks through why hoisting them into the
-/// heap would change observable ordering.
+/// One driver, RunEventLoop, advances the virtual clock on one thread: a
+/// binary min-heap keyed (time, class, seq) (serve/event_core.h) schedules
+/// arrivals, adversity faults, autoscaler ticks, admission retries, and
+/// the drain, and the handlers below fire in heap order. The same-instant
+/// ordering contract (adversity < tick < retry < arrival < drain) lives in
+/// EventClass. Lane closes, dispatches, batch completions, admission
+/// sweeps, and metric snapshots are *not* heap events: the eager scheduler
+/// books batches onto replicas ahead of the clock (a dispatch at virtual
+/// time t is decided when forming closes the batch, which can be earlier
+/// than t), so those stay consequences inside the handlers —
+/// docs/ENGINE.md walks through why hoisting them into the heap would
+/// change observable ordering.
 struct PipelineContext {
   // ---- wiring (fixed for the run)
   ServerPool& pool;
@@ -146,6 +135,7 @@ struct PipelineContext {
   // ---- mutable run state
   MultiBatchFormer former;
   std::vector<DispatchRecord> dispatches;
+  std::vector<std::int64_t> generated;  // Arrivals per workload.
   std::int64_t started = 0;  // Requests whose batch already dispatched.
   std::int64_t expired_dispatched = 0;  // Defensive; the sweep keeps it 0.
 
@@ -196,11 +186,11 @@ struct PipelineContext {
   std::vector<PoolDelta> deltas;
   std::vector<double> busy_until;
 
-  // Event-driver state: null outside RunEventLoop. `retry_event_t` is the
-  // earliest outstanding kAdmissionRetry event (+inf when none) — the
-  // dedupe that keeps one live retry event per deadline; stale events
-  // no-op through the NextRetryAt guard.
-  event_core::EventList* events = nullptr;
+  // The timeline heap. `retry_event_t` is the earliest outstanding
+  // kAdmissionRetry event (+inf when none) — the dedupe that keeps one
+  // live retry event per deadline; stale events no-op through the
+  // NextRetryAt guard.
+  event_core::EventList events;
   double retry_event_t = std::numeric_limits<double>::infinity();
 
   PipelineContext(ServerPool& pool_in, ServeStats& stats_in,
@@ -244,10 +234,9 @@ struct PipelineContext {
     // Parallel cycle-model warm-up, restricted to workloads that actually
     // have traffic — idle tenants stay lazily memoized (their unbatched
     // baseline below is the only evaluation they pay).
-    std::vector<bool> active(static_cast<std::size_t>(pool.workloads()),
-                             false);
+    generated.assign(static_cast<std::size_t>(pool.workloads()), 0);
     for (const Request& request : arrivals) {
-      active[static_cast<std::size_t>(request.workload)] = true;
+      ++generated[static_cast<std::size_t>(request.workload)];
     }
     // Warm each active lane only up to *its* batch cap — a cap-1 lane
     // never forms a batch its policy forbids, so pre-evaluating larger
@@ -255,7 +244,7 @@ struct PipelineContext {
     // warm together.
     std::map<std::int64_t, std::vector<WorkloadId>> active_by_cap;
     for (int w = 0; w < pool.workloads(); ++w) {
-      if (active[static_cast<std::size_t>(w)]) {
+      if (generated[static_cast<std::size_t>(w)] > 0) {
         active_by_cap[former.policy(w).max_batch].push_back(w);
       }
     }
@@ -782,30 +771,6 @@ struct PipelineContext {
     SyncTimeline();
   }
 
-  // Legacy polling driver only: everything scheduled at or before `t`
-  // fires in virtual-time order; environment events land before a control
-  // tick at the same instant (the world changes, then the control loop
-  // observes it) — the implicit ordering EventClass makes explicit.
-  void FireUntil(double t) {
-    while (true) {
-      const double env_t = env_next < env.size()
-                               ? env[env_next].t_s
-                               : std::numeric_limits<double>::infinity();
-      const double tick_t = autoscaler != nullptr
-                                ? autoscaler->next_tick_s()
-                                : std::numeric_limits<double>::infinity();
-      if (env_t > t && tick_t > t) {
-        break;
-      }
-      if (env_t <= tick_t) {
-        const AdversityEvent e = env[env_next++];
-        FireEnv(e);  // May splice paired end events after env_next.
-      } else {
-        FireTick();
-      }
-    }
-  }
-
   // ------------------------------------------------------ admission path
 
   // Feed one admitted request into the forming lanes — the pre-admission
@@ -849,28 +814,27 @@ struct PipelineContext {
     MaybeScheduleRetryEvent();
   }
 
-  // Event driver: keep one live kAdmissionRetry heap event at the earliest
-  // pending retry deadline. A shed during an offer can only schedule
-  // retries at or after the current instant, so pushing here (after every
-  // offer) covers every way the retry heap can gain an earlier head.
+  // Keep one live kAdmissionRetry heap event at the earliest pending retry
+  // deadline. A shed during an offer can only schedule retries at or after
+  // the current instant, so pushing here (after every offer) covers every
+  // way the retry heap can gain an earlier head.
   void MaybeScheduleRetryEvent() {
-    if (events == nullptr || admission == nullptr) {
+    if (admission == nullptr) {
       return;
     }
     const double next = admission->NextRetryAt();
     if (next < retry_event_t) {
-      events->Push(next, EventClass::kAdmissionRetry);
+      events.Push(next, EventClass::kAdmissionRetry);
       retry_event_t = next;
     }
   }
 
-  // Event driver's kAdmissionRetry handler: re-offer every retry due at or
-  // before `t`. Earlier-deadline retries always had their own event (see
+  // The kAdmissionRetry handler: re-offer every retry due at or before
+  // `t`. Earlier-deadline retries always had their own event (see
   // MaybeScheduleRetryEvent), so everything processed here is due exactly
   // now; a re-shed can chain another same-instant attempt — the loop
-  // re-checks, matching the legacy drain. Stale events (their retry
-  // already consumed by an earlier event at the same deadline) fall
-  // through the guard and no-op.
+  // re-checks. Stale events (their retry already consumed by an earlier
+  // event at the same deadline) fall through the guard and no-op.
   void ProcessRetriesAt(double t) {
     if (admission == nullptr) {
       return;
@@ -886,30 +850,9 @@ struct PipelineContext {
     }
   }
 
-  // Legacy polling driver: re-offer every scheduled retry due at or before
-  // `t`, interleaved with the tick/fault clocks in virtual-time order (a
-  // re-shed retry may schedule another attempt inside the same window —
-  // the loop re-checks).
-  void DrainRetries(double t) {
-    if (admission == nullptr) {
-      return;
-    }
-    while (admission->NextRetryAt() <= t) {
-      const double retry_t = admission->NextRetryAt();
-      FireUntil(retry_t);
-      Request retry = admission->PopRetry();
-      if (autoscaler != nullptr) {
-        stats.RecordArrival(retry.workload, retry_t);
-      }
-      SnapshotUntil(retry_t);
-      Offer(std::move(retry));
-    }
-  }
-
   // One arrival enters: the arrival record only exists to feed the
   // autoscaler's windowed rate samples; static runs skip the bookkeeping
-  // (hot path). Shared verbatim by both drivers — they differ only in how
-  // the events *preceding* the arrival were ordered.
+  // (hot path).
   void HandleArrival(const Request& request) {
     if (autoscaler != nullptr) {
       stats.RecordArrival(request.workload, request.arrival_s);
@@ -918,7 +861,7 @@ struct PipelineContext {
     Offer(request);
   }
 
-  // ---------------------------------------------------------- the drivers
+  // ----------------------------------------------------------- the driver
 
   // The discrete-event driver: one min-heap orders arrivals, adversity
   // faults, autoscaler ticks, admission retries, and the drain on the
@@ -927,37 +870,34 @@ struct PipelineContext {
   // heap event each — so the heap stays shallow and, past the initial
   // Reserve, steady-state scheduling never allocates.
   void RunEventLoop() {
-    event_core::EventList heap;
-    heap.Reserve(64);
-    events = &heap;
-    retry_event_t = std::numeric_limits<double>::infinity();
+    events.Reserve(64);
     // Arrivals normally end before the horizon; a replayed trace that
-    // overruns it still gets processed (the legacy loop consumed the whole
-    // queue), so the drain sits at whichever is later.
+    // overruns it still gets processed, so the drain sits at whichever is
+    // later.
     const double drain_t =
         arrivals.empty()
             ? options.duration_s
             : std::max(options.duration_s, arrivals.back().arrival_s);
     std::size_t next_arrival = 0;
     if (!arrivals.empty()) {
-      heap.Push(arrivals[0].arrival_s, EventClass::kArrival);
+      events.Push(arrivals[0].arrival_s, EventClass::kArrival);
     }
     if (env_next < env.size()) {
-      heap.Push(env[env_next].t_s, EventClass::kAdversity);
+      events.Push(env[env_next].t_s, EventClass::kAdversity);
     }
     if (autoscaler != nullptr && std::isfinite(autoscaler->next_tick_s())) {
-      heap.Push(autoscaler->next_tick_s(), EventClass::kAutoscalerTick);
+      events.Push(autoscaler->next_tick_s(), EventClass::kAutoscalerTick);
     }
-    heap.Push(drain_t, EventClass::kDrain);
+    events.Push(drain_t, EventClass::kDrain);
     bool running = true;
     while (running) {
-      const event_core::Event e = heap.Pop();
+      const event_core::Event e = events.Pop();
       switch (e.cls) {
         case EventClass::kAdversity: {
           const AdversityEvent env_event = env[env_next++];
           FireEnv(env_event);  // May splice paired end events.
           if (env_next < env.size()) {
-            heap.Push(env[env_next].t_s, EventClass::kAdversity);
+            events.Push(env[env_next].t_s, EventClass::kAdversity);
           }
           break;
         }
@@ -965,7 +905,7 @@ struct PipelineContext {
           FireTick();
           const double next_tick = autoscaler->next_tick_s();
           if (std::isfinite(next_tick)) {
-            heap.Push(next_tick, EventClass::kAutoscalerTick);
+            events.Push(next_tick, EventClass::kAutoscalerTick);
           }
           break;
         }
@@ -980,70 +920,26 @@ struct PipelineContext {
           HandleArrival(arrivals[next_arrival]);
           ++next_arrival;
           if (next_arrival < arrivals.size()) {
-            heap.Push(arrivals[next_arrival].arrival_s,
-                      EventClass::kArrival);
+            events.Push(arrivals[next_arrival].arrival_s,
+                        EventClass::kArrival);
           }
           break;
         }
         case EventClass::kDrain:
           // Everything at or before the horizon has fired (kDrain is the
           // highest class value, so same-instant work went first); the
-          // shared shutdown sequence runs back in Run().
+          // shutdown sequence runs back in Run().
           running = false;
           break;
         default:
           NSF_CHECK_MSG(false, "folded event class on the timeline heap");
       }
     }
-    events = nullptr;
-  }
-
-  // The preserved polling driver (the differential oracle): producer
-  // thread feeds the queue in arrival order; the consumer drains it into
-  // the batch former. FIFO + virtual timestamps keep the result
-  // independent of how the two threads interleave. The joiner makes the
-  // consumer exception-safe: an error thrown mid-pipeline (an autoscaler
-  // guard, a bad trace) must propagate to the caller, not hit the
-  // joinable-thread destructor and terminate the process.
-  void RunLegacyLoop() {
-    RequestQueue queue;
-    std::thread producer([&] {
-      for (const Request& request : arrivals) {
-        if (!queue.Push(request)) {
-          break;  // Queue closed under us — nothing left to feed.
-        }
-      }
-      queue.Close();
-    });
-    struct ProducerJoiner {
-      RequestQueue& queue;
-      std::thread& producer;
-      ~ProducerJoiner() {
-        queue.Close();  // Unblocks a producer still pushing.
-        if (producer.joinable()) {
-          producer.join();
-        }
-      }
-    } joiner{queue, producer};
-
-    while (auto request = queue.Pop()) {
-      // Control decisions, environment events, and retry re-offers
-      // scheduled at or before this arrival fire first — the tick clock,
-      // the fault timeline, the retry heap, and the arrival stamps share
-      // one virtual timeline.
-      DrainRetries(request->arrival_s);
-      FireUntil(request->arrival_s);
-      HandleArrival(*request);
-    }
-    // Run out the retry heap and the tick and fault clocks over the
-    // arrival-free tail (the event driver covers this from the heap).
-    DrainRetries(options.duration_s);
-    FireUntil(options.duration_s);
   }
 
   // ------------------------------------------------------------- shutdown
 
-  // Shared tail: flush the lanes, settle deferred commits, gracefully
+  // Run tail: flush the lanes, settle deferred commits, gracefully
   // drain an admission-run pool, and resolve the post-run replica spans.
   // Retries scheduled past the horizon never re-enter: shutdown finalizes
   // them as sheds (graceful drain admits nothing new).
@@ -1117,6 +1013,7 @@ struct PipelineContext {
   ServeReport BuildReport() {
     ServeReport report;
     report.generated_requests = static_cast<std::int64_t>(arrivals.size());
+    report.generated_by_workload = std::move(generated);
     for (int w = 0; w < pool.workloads(); ++w) {
       // The unbatched baseline runs on the first replica deployed for w.
       for (int r = 0; r < pool.size(); ++r) {
@@ -1159,11 +1056,7 @@ struct PipelineContext {
   }
 
   ServeReport Run() {
-    if (options.engine == ServeEngine::kLegacy) {
-      RunLegacyLoop();
-    } else {
-      RunEventLoop();
-    }
+    RunEventLoop();
     FinishRun();
     return BuildReport();
   }
@@ -1175,8 +1068,7 @@ struct PipelineContext {
 /// lane, every replica capable). With `autoscaler` non-null, its control
 /// decisions interleave with the arrival stream on the virtual timeline:
 /// every tick at or before the next arrival fires first, so a fixed seed
-/// pins the whole (arrival, decision) sequence. `options.engine` selects
-/// the driver; both produce byte-identical runs (see PipelineContext).
+/// pins the whole (arrival, decision) sequence (see PipelineContext).
 ServeReport RunPipeline(ServerPool& pool, ServeStats& stats,
                         const std::vector<Request>& arrivals,
                         const ServeOptions& options,

@@ -1,24 +1,24 @@
 // NSFlow-Serve engine — the end-to-end serving loop.
 //
-//   Poisson arrival generator (producer thread, virtual timestamps,
-//   per-workload mix sampling)
-//     └─> RequestQueue (thread-safe FIFO handoff)
-//           └─> BatchFormer / MultiBatchFormer (max-batch / max-wait
-//               coalescing, one lane per workload — batches never mix
-//               workloads)
+//   Arrival stream (scenario generator, virtual timestamps, per-workload
+//   mix sampling)
+//     └─> discrete-event driver (serve/event_core.h: one min-heap orders
+//         arrivals, faults, autoscaler ticks, retries and the drain)
+//           └─> MultiBatchFormer (max-batch / max-wait coalescing, one
+//               lane per workload — batches never mix workloads)
 //                 └─> ServerPool (N accelerator replicas, per-replica
-//                     workload sets, worker threads)
+//                     workload sets)
 //                       └─> ServeStats (p50/p95/p99, throughput, util,
 //                           per-workload breakdown)
 //
 // The engine turns the paper's one-shot `RunWorkload` accelerator into a
 // throughput-oriented service: an open-loop synthetic trace with exponential
 // inter-arrival times drives the pipeline for `duration_s` virtual seconds,
-// and the report captures tail latency and saturation behavior. A
-// multi-tenant run draws each arrival's workload from the requested QPS mix
-// with the same RNG stream as the inter-arrival times, so with a fixed seed
-// the whole run — single- or multi-workload — is bit-reproducible (see
-// request.h on virtual time).
+// and the report captures tail latency and saturation behavior. One thread
+// runs the whole timeline. A multi-tenant run draws each arrival's workload
+// from the requested QPS mix with the same RNG stream as the inter-arrival
+// times, so with a fixed seed the whole run — single- or multi-workload —
+// is bit-reproducible (see request.h on virtual time).
 #pragma once
 
 #include <cstdint>
@@ -74,26 +74,11 @@ struct AutoscaleOptions {
   double dictionary_bytes = 512.0 * 1024.0;
 };
 
-/// Which pipeline driver runs the virtual timeline (docs/ENGINE.md).
-/// Both drivers share every handler — the batch former, pool, autoscaler,
-/// admission, adversity, and obs subscribers see the identical call
-/// sequence — so fixed-seed runs are byte-identical between them; the
-/// differential matrix in tests/event_core_test.cpp enforces it.
-enum class ServeEngine {
-  /// Discrete-event core (serve/event_core.h): one binary min-heap keyed
-  /// (virtual_time, class, seq) drives arrivals, adversity faults,
-  /// autoscaler ticks, admission retries, and the drain. The default.
-  kEvent = 0,
-  /// The pre-event-core polling interleave, kept as the differential
-  /// oracle and the bench's old-vs-new wall reference.
-  kLegacy = 1,
-};
-
 struct ServeOptions {
   double qps = 100.0;          // Open-loop offered load (Poisson arrivals).
   double duration_s = 1.0;     // Virtual length of the arrival trace.
-  std::int64_t max_batch = 8;  // BatchFormer size cap.
-  double max_wait_s = 5e-3;    // BatchFormer wait cap.
+  std::int64_t max_batch = 8;  // Batch former size cap.
+  double max_wait_s = 5e-3;    // Batch former wait cap.
   std::uint64_t seed = 42;     // Arrival-process RNG seed.
   int worker_threads = 0;      // 0 = hardware concurrency.
   /// Arrival pattern (scenario.h). The default stationary Poisson
@@ -142,10 +127,6 @@ struct ServeOptions {
   /// (empty = replica r on node r % nodes). `nsflow serve --plan` fills
   /// this from the plan's recorded placement.
   std::vector<int> cluster_nodes;
-  /// Pipeline driver selection — event-driven by default; `kLegacy` runs
-  /// the preserved polling loop (byte-identical output, used as the
-  /// differential oracle and for the bench's wall-clock ratio).
-  ServeEngine engine = ServeEngine::kEvent;
   /// Observability (docs/OBSERVABILITY.md): with `trace.enabled` the engine
   /// records every request/batch lifecycle span, autoscaler decision, and
   /// replica transition on the virtual timeline into `ServeReport::obs`,
@@ -170,6 +151,9 @@ struct ServeReport {
   StatsSummary summary;
   std::vector<DispatchRecord> dispatches;
   std::int64_t generated_requests = 0;
+  /// Arrivals per WorkloadId: the left side of per-tenant conservation,
+  /// generated = completed + shed + expired.
+  std::vector<std::int64_t> generated_by_workload;
   /// Single-request latency of workload 0 on a capable replica — the
   /// no-batching baseline the throughput numbers are judged against.
   double single_request_s = 0.0;
@@ -222,7 +206,7 @@ std::vector<Request> SyntheticArrivals(const ServeOptions& options,
 double EffectiveOfferedRps(const ServeOptions& options,
                            std::int64_t generated_requests);
 
-/// Run the full pipeline: synthetic arrivals through queue, former, and
+/// Run the full pipeline: synthetic arrivals through the former and the
 /// pool. `designs` defines the pool (one replica per entry; `dfg` must
 /// outlive the call).
 ServeReport RunSyntheticServe(const DataflowGraph& dfg,

@@ -1,13 +1,13 @@
 // Serving request/batch value types — the unit of work NSFlow-Serve moves
-// through its pipeline (arrival stream -> RequestQueue -> BatchFormer ->
-// ServerPool).
+// through its pipeline (arrival stream -> event driver -> MultiBatchFormer
+// -> ServerPool).
 //
 // Timestamps are *virtual* seconds on the serving timeline: arrivals are
 // stamped by the open-loop generator, batch close times by the forming
-// policy, and completion times by the replica dispatch sweep. Keeping the
-// timeline virtual (while the expensive cycle-model evaluations run on real
-// worker threads) is what makes a serve run bit-reproducible under a fixed
-// RNG seed regardless of thread interleaving.
+// policy, and completion times by the replica dispatch sweep. The engine
+// advances that timeline on one thread and never reads the wall clock (the
+// pool's warm-up threads only fill a pure latency cache), so a serve run is
+// bit-reproducible under a fixed RNG seed.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,7 @@ struct Request {
   std::int32_t attempt = 0;   // 0 = first offer; bumped per admission retry.
 };
 
-/// Why the BatchFormer closed a batch — recorded on the batch so the
+/// Why the batch former closed a batch — recorded on the batch so the
 /// observability layer can attribute forming latency to the policy edge
 /// that fired (docs/OBSERVABILITY.md).
 enum class BatchCloseReason {
@@ -60,7 +60,7 @@ enum class BatchCloseReason {
   kFlush = 3,     // Stream drained; the engine flushed the lane.
 };
 
-/// A group of requests coalesced by the BatchFormer and dispatched to one
+/// A group of requests coalesced by the batch former and dispatched to one
 /// accelerator replica as a single RunWorkloadBatch launch. Batches never
 /// mix workloads: one batch = one workload = one kernel launch.
 struct Batch {

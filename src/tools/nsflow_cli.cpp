@@ -136,10 +136,6 @@ const std::vector<CommandSpec>& Commands() {
             "multi-node serving: none | hash | least-loaded — replicas"
             " shard across nodes=N hosts and cross-node dispatch pays the"
             " modeled interconnect (hops, hop_us, gbps; docs/CLUSTER.md)"},
-           {"--engine", "NAME", "event",
-            "pipeline driver: event (discrete-event core) | legacy"
-            " (preserved polling loop) — byte-identical output"
-            " (docs/ENGINE.md)"},
            {"--tiers", "name=tier,...", "standard",
             "with --admission: SLA tier per workload, critical | standard |"
             " batch, e.g. mlp=critical,resnet18=batch (docs/ADMISSION.md)"},
@@ -396,16 +392,6 @@ CliArgs Parse(int argc, char** argv) {
     } else if (flag == "--cluster") {
       args.serve.cluster = serve::ClusterSpec::Parse(next());
       args.cluster_set = true;
-    } else if (flag == "--engine") {
-      const std::string engine = next();
-      if (engine == "event") {
-        args.serve.engine = serve::ServeEngine::kEvent;
-      } else if (engine == "legacy") {
-        args.serve.engine = serve::ServeEngine::kLegacy;
-      } else {
-        throw Error("unknown --engine '" + engine +
-                    "' (expected event or legacy)");
-      }
     } else if (flag == "--tiers") {
       args.tiers = next();
     } else if (flag == "--plan") {

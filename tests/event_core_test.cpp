@@ -5,8 +5,9 @@
 //
 //   1. The differential matrix — golden digests recorded from the
 //      pre-rewrite polling build, which every matrix row must reproduce
-//      byte-for-byte with the event engine, plus an in-process
-//      legacy-vs-event comparison that holds on any toolchain.
+//      byte-for-byte, plus the trace-invariant checker
+//      (tests/trace_invariants.h) run on every row, which holds on any
+//      toolchain.
 //   2. Unit/property tests for the event-core primitives: (time, class,
 //      seq) tie-break stability, randomized equal-timestamp drain order,
 //      pooled-node reuse and the generation (ABA) guard.
@@ -32,6 +33,7 @@
 
 #include "serve/event_core.h"
 #include "serve_differential.h"
+#include "trace_invariants.h"
 
 namespace nsflow::serve {
 namespace {
@@ -106,7 +108,7 @@ TEST(EventCoreDifferential, MatrixMatchesPreRewriteGolden) {
                  << " != golden " << golden.fingerprint
                  << " — libm/FP differences make the recorded digests "
                     "incomparable on this toolchain (the "
-                    "EventAndLegacyEnginesAgree leg still ran)";
+                    "MatrixSatisfiesTraceInvariants leg still ran)";
   }
   for (const diff::DiffConfig& config : diff::MatrixConfigs()) {
     const auto row = golden.rows.find(config.Key());
@@ -121,23 +123,87 @@ TEST(EventCoreDifferential, MatrixMatchesPreRewriteGolden) {
   }
 }
 
-// The toolchain-independent leg: the preserved polling driver and the
-// event driver must produce byte-identical runs on every matrix row —
-// both digests come from this build, so no fingerprint gate applies.
-TEST(EventCoreDifferential, EventAndLegacyEnginesAgree) {
+// The toolchain-independent leg: every matrix row must satisfy the trace
+// invariants — conservation, no replica double-booking or work on a dead
+// replica, monotone request lifecycles, FIFO single-workload batches.
+// The run is checked against itself, so no fingerprint gate applies.
+//
+// The matrix's guard frontend never expires a request, so an expiry slice
+// (every scenario, fault-free and replica-fail, seed 42) reruns with a
+// 2 ms critical deadline to put the pre-dispatch expiry sweep under the
+// checker too.
+TEST(EventCoreDifferential, MatrixSatisfiesTraceInvariants) {
   const diff::DiffFixture fixture;
+  int rows_with_failure = 0;
+  std::int64_t expired = 0;
+  const auto check = [&](const std::string& key,
+                         const ServeOptions& options) {
+    const ServeReport report = RunSyntheticServe(
+        fixture.registry, fixture.replicas, fixture.mix, options);
+    ASSERT_NE(report.obs, nullptr);
+    const obs::TraceData trace = report.obs->recorder.Drain();
+    const std::vector<std::string> violations =
+        CheckServeInvariants(report, trace);
+    EXPECT_TRUE(violations.empty())
+        << key << ": " << violations.size()
+        << " violation(s), first: " << violations.front();
+    rows_with_failure += std::any_of(
+        trace.instants.begin(), trace.instants.end(),
+        [](const obs::InstantEvent& instant) {
+          return instant.kind == obs::InstantKind::kReplicaFailed;
+        });
+    for (const AdmissionTenantSummary& row : report.admission) {
+      expired += row.expired;
+    }
+  };
   for (const diff::DiffConfig& config : diff::MatrixConfigs()) {
-    ServeOptions options = diff::OptionsFor(config);
-    options.engine = ServeEngine::kEvent;
-    const diff::RunResult event_run = diff::RunConfig(fixture, options);
-    options.engine = ServeEngine::kLegacy;
-    const diff::RunResult legacy_run = diff::RunConfig(fixture, options);
-    EXPECT_EQ(diff::HexDigest(event_run.digest),
-              diff::HexDigest(legacy_run.digest))
-        << "engine divergence at " << config.Key();
-    EXPECT_EQ(event_run.exit_code, legacy_run.exit_code)
-        << "exit-code divergence at " << config.Key();
+    check(config.Key(), diff::OptionsFor(config));
   }
+  // The failure-interval check is live: some replica-fail rows take a
+  // failure (in the rest it would orphan a workload and is skipped).
+  EXPECT_GT(rows_with_failure, 0);
+
+  for (const std::string& scenario : diff::MatrixScenarios()) {
+    for (const std::string adversity : {"none", "replica-fail"}) {
+      const diff::DiffConfig config{scenario, adversity, /*admission=*/true,
+                                    /*autoscale=*/false, /*seed=*/42};
+      ServeOptions options = diff::OptionsFor(config);
+      options.admission = AdmissionSpec::Parse("guard:deadline=0.002");
+      check(config.Key() + "|deadline=2ms", options);
+    }
+  }
+  EXPECT_GT(expired, 0) << "the expiry slice never swept a request";
+}
+
+// A failure whose recovery lies past the drain records no recovery
+// instant, yet the flush still books batches on the replica once it is
+// back; the checker reads the recovery time from the failure's detail.
+TEST(EventCoreDifferential, InvariantsHoldWhenRecoveryOutlivesTheRun) {
+  const diff::DiffFixture fixture;
+  ServeOptions options = diff::OptionsFor(diff::DiffConfig{});
+  options.qps = 3000.0;  // Backlog runs past the recovery at 2.8 s.
+  options.adversity =
+      AdversitySpec::Parse("replica-fail:at=1.8,down=1,warmup=0");
+  const std::vector<ReplicaSpec> shared =
+      fixture.registry.ReplicaSpecs(3, /*partitioned=*/false);
+  const ServeReport report =
+      RunSyntheticServe(fixture.registry, shared, fixture.mix, options);
+  const obs::TraceData trace = report.obs->recorder.Drain();
+  int failed = -1;
+  for (const obs::InstantEvent& instant : trace.instants) {
+    ASSERT_NE(instant.kind, obs::InstantKind::kReplicaRecovered);
+    if (instant.kind == obs::InstantKind::kReplicaFailed) {
+      failed = instant.replica;
+    }
+  }
+  ASSERT_GE(failed, 0);
+  EXPECT_TRUE(std::any_of(report.dispatches.begin(), report.dispatches.end(),
+                          [&](const DispatchRecord& d) {
+                            return d.replica == failed && d.start_s >= 2.8;
+                          }));
+  const std::vector<std::string> violations =
+      CheckServeInvariants(report, trace);
+  EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
 // ---------------------------------------- same-instant ordering contract
@@ -145,42 +211,36 @@ TEST(EventCoreDifferential, EventAndLegacyEnginesAgree) {
 // The latent hazard the EventClass contract fixes: with an adversity
 // fault and an autoscaler tick landing on the same virtual instant, the
 // fault must fire first (the world changes, then the control loop
-// observes it). Previously that ordering fell out of code order in the
-// polling loop; now it is an explicit priority, pinned here for BOTH
-// drivers via the stats timeline's record order.
+// observes it). The polling loop this core replaced got that ordering
+// from code order; here it is an explicit priority, pinned via the stats
+// timeline's record order.
 TEST(EventCoreDifferential, SameInstantAdversityFiresBeforeTick) {
   const diff::DiffFixture fixture;
-  for (const ServeEngine engine :
-       {ServeEngine::kEvent, ServeEngine::kLegacy}) {
-    diff::DiffConfig config;
-    config.autoscale = true;  // First control tick at interval_s = 0.25.
-    ServeOptions options = diff::OptionsFor(config);
-    options.adversity =
-        AdversitySpec::Parse("straggler:at=0.25,duration=0.5,count=1");
-    options.engine = engine;
-    const ServeReport report = RunSyntheticServe(
-        fixture.registry, fixture.replicas, fixture.mix, options);
-    const std::vector<PoolEvent>& timeline = report.summary.timeline;
-    std::ptrdiff_t fault_at = -1;
-    std::ptrdiff_t sample_at = -1;
-    for (std::size_t i = 0; i < timeline.size(); ++i) {
-      if (timeline[i].t_s != 0.25) {
-        continue;
-      }
-      if (fault_at < 0 && timeline[i].kind == PoolEventKind::kFault) {
-        fault_at = static_cast<std::ptrdiff_t>(i);
-      }
-      if (sample_at < 0 && timeline[i].kind == PoolEventKind::kSample) {
-        sample_at = static_cast<std::ptrdiff_t>(i);
-      }
+  diff::DiffConfig config;
+  config.autoscale = true;  // First control tick at interval_s = 0.25.
+  ServeOptions options = diff::OptionsFor(config);
+  options.adversity =
+      AdversitySpec::Parse("straggler:at=0.25,duration=0.5,count=1");
+  const ServeReport report = RunSyntheticServe(
+      fixture.registry, fixture.replicas, fixture.mix, options);
+  const std::vector<PoolEvent>& timeline = report.summary.timeline;
+  std::ptrdiff_t fault_at = -1;
+  std::ptrdiff_t sample_at = -1;
+  for (std::size_t i = 0; i < timeline.size(); ++i) {
+    if (timeline[i].t_s != 0.25) {
+      continue;
     }
-    ASSERT_GE(fault_at, 0) << "no fault event at t=0.25";
-    ASSERT_GE(sample_at, 0) << "no tick sample at t=0.25";
-    EXPECT_LT(fault_at, sample_at)
-        << "same-instant adversity must fire before the autoscaler tick ("
-        << (engine == ServeEngine::kEvent ? "event" : "legacy")
-        << " engine)";
+    if (fault_at < 0 && timeline[i].kind == PoolEventKind::kFault) {
+      fault_at = static_cast<std::ptrdiff_t>(i);
+    }
+    if (sample_at < 0 && timeline[i].kind == PoolEventKind::kSample) {
+      sample_at = static_cast<std::ptrdiff_t>(i);
+    }
   }
+  ASSERT_GE(fault_at, 0) << "no fault event at t=0.25";
+  ASSERT_GE(sample_at, 0) << "no tick sample at t=0.25";
+  EXPECT_LT(fault_at, sample_at)
+      << "same-instant adversity must fire before the autoscaler tick";
 }
 
 // --------------------------------------------------- EventList ordering
@@ -359,7 +419,6 @@ TEST(AllocationContract, EventEngineRunAllocationsAreConstant) {
   options.duration_s = 2.0;
   options.max_batch = 8;
   options.seed = 42;
-  options.engine = ServeEngine::kEvent;
   const std::int64_t before = event_core::allocation_count();
   const ServeReport report = RunSyntheticServe(
       fixture.registry, fixture.replicas, fixture.mix, options);

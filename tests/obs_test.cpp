@@ -1,13 +1,12 @@
 // Observability tests (docs/OBSERVABILITY.md): pinned histogram bucket
 // boundaries, bit-exact Chrome/binary trace round trips, ring-buffer
 // eviction accounting, fixed-seed trace determinism of an autoscaled
-// diurnal run, request/batch span invariants, and the structured logger's
-// sink injection + level filter.
+// diurnal run, the shared trace invariants (trace_invariants.h) on that
+// run, and the structured logger's sink injection + level filter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "obs/trace_recorder.h"
 #include "serve/engine.h"
 #include "serve/workload_registry.h"
+#include "trace_invariants.h"
 
 namespace nsflow::obs {
 namespace {
@@ -192,7 +192,7 @@ TEST(ObsBinaryTraceTest, RejectsBadMagicAndTruncation) {
 // ---------------------------------------------------------------- recorder
 
 TEST(ObsRecorderTest, RingModeDropsOldestAndCounts) {
-  TraceRecorder recorder(/*ring_capacity=*/4, /*shards=*/1);
+  TraceRecorder recorder(/*ring_capacity=*/4);
   for (int i = 0; i < 10; ++i) {
     RequestSpan span;
     span.request_id = i;
@@ -270,41 +270,13 @@ TEST(ObsServeTest, SpansSatisfyLifecycleInvariants) {
   ASSERT_NE(report.obs, nullptr);
   const TraceData data = report.obs->recorder.Drain();
 
-  // Every completed request has exactly one span, every dispatched batch
-  // exactly one batch span.
-  EXPECT_EQ(static_cast<std::int64_t>(data.requests.size()),
-            report.summary.completed);
-  EXPECT_EQ(static_cast<std::int64_t>(data.batches.size()),
-            report.summary.batches);
+  // Span counts, lifecycle order, span/batch agreement, and conservation
+  // come from the shared checker.
+  const std::vector<std::string> violations =
+      serve::CheckServeInvariants(report, data);
+  EXPECT_TRUE(violations.empty())
+      << violations.size() << " violation(s), first: " << violations.front();
   EXPECT_GT(data.counters.size(), 0u);  // Periodic autoscaler samples.
-
-  std::map<std::int64_t, const BatchSpan*> batches;
-  for (const BatchSpan& batch : data.batches) {
-    EXPECT_LE(batch.formed_s, batch.start_s);
-    EXPECT_LT(batch.start_s, batch.complete_s);
-    EXPECT_GE(batch.size, 1);
-    EXPECT_NE(batch.close, BatchClose::kNone);
-    batches[batch.batch_index] = &batch;
-  }
-  std::map<std::int64_t, std::int64_t> batch_members;
-  for (const RequestSpan& span : data.requests) {
-    // Monotone lifecycle on the virtual timeline.
-    EXPECT_LE(span.arrival_s, span.formed_s);
-    EXPECT_LE(span.formed_s, span.start_s);
-    EXPECT_LT(span.start_s, span.complete_s);
-    // Every request's dispatch matches a batch span bit-exactly.
-    const auto it = batches.find(span.batch_index);
-    ASSERT_NE(it, batches.end());
-    EXPECT_EQ(span.replica, it->second->replica);
-    EXPECT_EQ(span.workload, it->second->workload);
-    EXPECT_EQ(span.start_s, it->second->start_s);
-    EXPECT_EQ(span.complete_s, it->second->complete_s);
-    EXPECT_EQ(span.batch_size, it->second->size);
-    ++batch_members[span.batch_index];
-  }
-  for (const auto& [index, members] : batch_members) {
-    EXPECT_EQ(members, batches.at(index)->size);
-  }
   // The autoscaled run recorded decision instants, and every applied delta
   // is mirrored as one.
   std::int64_t decisions = 0;

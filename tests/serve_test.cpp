@@ -1,9 +1,7 @@
-// Tests for NSFlow-Serve: batch forming, queue FIFO semantics, stat
-// percentiles, batched cycle accounting, and multi-replica dispatch
-// determinism under a fixed RNG seed.
+// Tests for NSFlow-Serve: batch forming, stat percentiles, batched cycle
+// accounting, and multi-replica dispatch determinism under a fixed RNG
+// seed.
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "common/rng.h"
 #include "dse/dse.h"
@@ -11,7 +9,6 @@
 #include "runtime/host_runtime.h"
 #include "serve/batch_former.h"
 #include "serve/engine.h"
-#include "serve/request_queue.h"
 #include "serve/serve_stats.h"
 #include "serve/server_pool.h"
 #include "workloads/builders.h"
@@ -22,100 +19,74 @@ namespace {
 Request At(std::int64_t id, double arrival_s) { return Request{id, arrival_s}; }
 
 // ---------------------------------------------------------------- former
+//
+// The single-workload forming contract, on a one-lane MultiBatchFormer
+// (`busy_until` is that lane's horizon).
 
 TEST(BatchFormerTest, ClosesAtMaxBatchSize) {
-  BatchFormer former(BatchPolicy{3, 1.0});
-  EXPECT_FALSE(former.Add(At(0, 0.00)).has_value());
-  EXPECT_FALSE(former.Add(At(1, 0.01)).has_value());
-  const auto batch = former.Add(At(2, 0.02));
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->size(), 3);
-  EXPECT_DOUBLE_EQ(batch->formed_s, 0.02);  // Closed by the last arrival.
-  EXPECT_EQ(former.pending(), 0);
+  MultiBatchFormer former(BatchPolicy{3, 1.0}, 1);
+  EXPECT_TRUE(former.Add(At(0, 0.00), {0.0}).empty());
+  EXPECT_TRUE(former.Add(At(1, 0.01), {0.0}).empty());
+  const std::vector<Batch> closed = former.Add(At(2, 0.02), {0.0});
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].size(), 3);
+  EXPECT_DOUBLE_EQ(closed[0].formed_s, 0.02);  // Closed by the last arrival.
+  EXPECT_EQ(former.pending(0), 0);
 }
 
 TEST(BatchFormerTest, ClosesAtMaxWaitDeadline) {
-  BatchFormer former(BatchPolicy{8, 0.005});
-  EXPECT_FALSE(former.Add(At(0, 0.000)).has_value());
-  EXPECT_FALSE(former.Add(At(1, 0.001)).has_value());
+  MultiBatchFormer former(BatchPolicy{8, 0.005}, 1);
+  EXPECT_TRUE(former.Add(At(0, 0.000), {0.0}).empty());
+  EXPECT_TRUE(former.Add(At(1, 0.001), {0.0}).empty());
   // Arrival after the oldest request's deadline closes the pending batch at
   // the deadline, not at the new arrival.
-  const auto batch = former.Add(At(2, 0.050));
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->size(), 2);
-  EXPECT_DOUBLE_EQ(batch->formed_s, 0.005);
+  const std::vector<Batch> closed = former.Add(At(2, 0.050), {0.0});
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].size(), 2);
+  EXPECT_DOUBLE_EQ(closed[0].formed_s, 0.005);
   // The late request seeds the next batch.
-  EXPECT_EQ(former.pending(), 1);
+  EXPECT_EQ(former.pending(0), 1);
 }
 
 TEST(BatchFormerTest, PreservesFifoOrderWithinBatch) {
-  BatchFormer former(BatchPolicy{4, 1.0});
-  former.Add(At(10, 0.0));
-  former.Add(At(11, 0.1));
-  former.Add(At(12, 0.2));
-  const auto batch = former.Add(At(13, 0.3));
-  ASSERT_TRUE(batch.has_value());
-  ASSERT_EQ(batch->size(), 4);
+  MultiBatchFormer former(BatchPolicy{4, 1.0}, 1);
+  former.Add(At(10, 0.0), {0.0});
+  former.Add(At(11, 0.1), {0.0});
+  former.Add(At(12, 0.2), {0.0});
+  const std::vector<Batch> closed = former.Add(At(13, 0.3), {0.0});
+  ASSERT_EQ(closed.size(), 1u);
+  ASSERT_EQ(closed[0].size(), 4);
   for (std::int64_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(batch->requests[static_cast<std::size_t>(i)].id, 10 + i);
+    EXPECT_EQ(closed[0].requests[static_cast<std::size_t>(i)].id, 10 + i);
   }
 }
 
 TEST(BatchFormerTest, BusyPoolStretchesWaitDeadline) {
-  BatchFormer former(BatchPolicy{8, 0.005});
-  former.Add(At(0, 0.000));
+  MultiBatchFormer former(BatchPolicy{8, 0.005}, 1);
+  former.Add(At(0, 0.000), {0.0});
   // Every replica is busy until t=0.100: arrivals past the nominal 5 ms
   // deadline keep accumulating instead of closing a tiny batch.
-  EXPECT_FALSE(former.Add(At(1, 0.020), /*busy_until=*/0.100).has_value());
-  EXPECT_FALSE(former.Add(At(2, 0.050), /*busy_until=*/0.100).has_value());
+  EXPECT_TRUE(former.Add(At(1, 0.020), /*busy_until=*/{0.100}).empty());
+  EXPECT_TRUE(former.Add(At(2, 0.050), /*busy_until=*/{0.100}).empty());
   // First arrival past the busy horizon closes the batch at that horizon.
-  const auto batch = former.Add(At(3, 0.120), /*busy_until=*/0.100);
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->size(), 3);
-  EXPECT_DOUBLE_EQ(batch->formed_s, 0.100);
-  EXPECT_EQ(former.pending(), 1);
+  const std::vector<Batch> closed =
+      former.Add(At(3, 0.120), /*busy_until=*/{0.100});
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].size(), 3);
+  EXPECT_DOUBLE_EQ(closed[0].formed_s, 0.100);
+  EXPECT_EQ(former.pending(0), 1);
 }
 
 TEST(BatchFormerTest, FlushDrainsTail) {
-  BatchFormer former(BatchPolicy{8, 0.005});
-  former.Add(At(0, 0.100));
-  former.Add(At(1, 0.101));
-  const auto tail = former.Flush(1.0);
-  ASSERT_TRUE(tail.has_value());
-  EXPECT_EQ(tail->size(), 2);
+  MultiBatchFormer former(BatchPolicy{8, 0.005}, 1);
+  former.Add(At(0, 0.100), {0.0});
+  former.Add(At(1, 0.101), {0.0});
+  const std::vector<Batch> tail = former.Flush(1.0);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].size(), 2);
   // Flush clamps to the wait deadline of the oldest request.
-  EXPECT_DOUBLE_EQ(tail->formed_s, 0.105);
-  EXPECT_FALSE(former.Flush(2.0).has_value());
-}
-
-// ----------------------------------------------------------------- queue
-
-TEST(RequestQueueTest, FifoAcrossThreads) {
-  RequestQueue queue;
-  constexpr int kCount = 1000;
-  std::thread producer([&] {
-    for (int i = 0; i < kCount; ++i) {
-      queue.Push(At(i, 1e-3 * i));
-    }
-    queue.Close();
-  });
-  std::int64_t expected = 0;
-  while (auto request = queue.Pop()) {
-    EXPECT_EQ(request->id, expected++);
-  }
-  producer.join();
-  EXPECT_EQ(expected, kCount);
-  EXPECT_TRUE(queue.closed());
-  EXPECT_GE(queue.max_depth(), 1u);
-}
-
-TEST(RequestQueueTest, PushAfterCloseIsDropped) {
-  RequestQueue queue;
-  queue.Push(At(0, 0.0));
-  queue.Close();
-  EXPECT_FALSE(queue.Push(At(1, 0.1)));
-  EXPECT_TRUE(queue.Pop().has_value());
-  EXPECT_FALSE(queue.Pop().has_value());  // Closed and drained.
+  EXPECT_DOUBLE_EQ(tail[0].formed_s, 0.105);
+  EXPECT_TRUE(former.Flush(2.0).empty());
 }
 
 // ----------------------------------------------------------------- stats

@@ -24,7 +24,9 @@ Three passes, no network:
        (backslash continuations are followed);
      * every markdown flag-table row (tables under a heading mentioning
        "flag", or with a "Flag" column) may only document flags the CLI
-       actually has;
+       actually has — and so may any table row, in any table, whose first
+       cell is a `--flag` (a stale row for a removed flag fails wherever
+       it sits);
      * a heading that names one command's flag reference (e.g.
        "## `nsflow serve` flags") arms the *completeness* drift check:
        the section's table rows must cover every flag that command
@@ -262,14 +264,19 @@ def check_cli_docs(files, commands):
                 if line.startswith("|"):
                     if re.search(r"\|\s*Flag\s*\|", line) or "flag" in heading:
                         in_flag_table = True
-                    if in_flag_table:
-                        for flag in re.findall(r"`(--[a-z0-9-]+)", line):
-                            if flag not in all_flags:
-                                problems.append(
-                                    f"{rel}: documents {flag}, which no "
-                                    "nsflow command accepts")
-                            if armed_command is not None:
-                                armed_flags.add(flag)
+                    row_flags = (re.findall(r"`(--[a-z0-9-]+)", line)
+                                 if in_flag_table else [])
+                    lead = re.match(r"\|\s*`(--[a-z0-9-]+)", line)
+                    if lead and lead.group(1) not in row_flags:
+                        row_flags.append(lead.group(1))
+                    for flag in row_flags:
+                        if flag not in all_flags:
+                            problems.append(
+                                f"{rel}: documents {flag}, which is not in "
+                                "the CLI help table (src/tools/"
+                                "nsflow_cli.cpp)")
+                        if in_flag_table and armed_command is not None:
+                            armed_flags.add(flag)
         finish_flag_table()  # A flag table may end the file.
 
     # Reverse direction: every user-facing flag/subcommand is documented.

@@ -128,8 +128,8 @@ def collect_metrics(serve_report, plan_report):
                  event_core["heap_events_per_s"], "higher", "wall"),
                 ("event_core.event_wall_ms", event_core["event_wall_ms"],
                  "lower", "wall"),
-                ("event_core.legacy_over_event",
-                 event_core["legacy_over_event"], "higher", "wall"),
+                ("event_core.run_events_per_s",
+                 event_core["run_events_per_s"], "higher", "wall"),
             ]
     if plan_report is not None:
         for row in plan_report["scenarios"]:
@@ -338,8 +338,9 @@ def main():
         print(f"event core: {event_core['heap_events_per_s'] / 1e6:.1f}M "
               f"events/s (gate "
               f"{event_core['gate_events_per_s'] / 1e6:.0f}M{gate}), "
-              f"legacy/event wall "
-              f"{event_core['legacy_over_event']:.2f}x")
+              f"engine wall {event_core['event_wall_ms']:.2f} ms, "
+              f"{event_core['run_events_per_s'] / 1e3:.0f}k arrival "
+              f"events/s")
 
     # Planner/scenario smoke: plan once, validate predicted vs measured
     # p99 under each arrival pattern, then the autoscale elastic-vs-static
@@ -352,8 +353,9 @@ def main():
     result = run(cmd)
     if result.returncode != 0:
         print("error: bench_plan_scenarios failed (measured p99 outside the "
-              "documented tolerance of the plan's prediction, or the "
-              "autoscale SLO/replica-seconds gate tripped)",
+              "documented tolerance of the plan's prediction, the "
+              "autoscale SLO/replica-seconds gate, or a cluster gate — "
+              "trace invariants included — tripped)",
               file=sys.stderr)
         return result.returncode
     plan_report = load_artifact(args.plan_out)
@@ -392,12 +394,21 @@ def main():
               f"loss(es)")
     cluster = plan_report.get("cluster")
     if cluster is not None:
+        if cluster["invariant_violations"] != 0:
+            print("error: the cluster run broke "
+                  f"{cluster['invariant_violations']} trace invariant(s) "
+                  "(conservation among them)", file=sys.stderr)
+            return 1
         print(f"cluster: {cluster['spec']} over {cluster['nodes']} node(s) "
               f"held critical p99 {cluster['critical_p99_ms']:.2f} ms "
               f"(SLO {cluster['p99_slo_ms']:.0f} ms) through "
               f"{cluster['adversity']}, {cluster['remote_batches']} remote "
               f"batch(es), {cluster['bytes_moved'] / 1e6:.1f} MB moved, "
               f"{cluster['network_s'] * 1e3:.1f} ms modeled network")
+        for tier, row in cluster["per_tier"].items():
+            print(f"  {tier}: offered {row['offered']}, admitted "
+                  f"{row['admitted']}, shed {row['shed']}, expired "
+                  f"{row['expired']}, completed {row['completed']}")
 
     if args.full:
         for bench in ("bench_serve_throughput", "bench_serve_multitenant",
