@@ -29,7 +29,9 @@
 // when obs-on costs more than 5% wall-clock over obs-off (plus a small
 // absolute epsilon — smoke runs are sub-millisecond). `--trace-out FILE`
 // additionally writes the traced run's Chrome JSON, which the CI
-// bench-smoke job uploads as an artifact.
+// bench-smoke job uploads as an artifact. The `obs_export` section times
+// that export (ChromeTraceJson, best of N) and records its size, MB/s and
+// its wall time over the traced run's.
 //
 // A sixth section gates the replica scale curve (docs/PERFORMANCE.md,
 // "Replica selection"): one fixed-seed partitioned mlp/resnet18 run at
@@ -387,13 +389,40 @@ int main(int argc, char** argv) {
               obs_rounds, obs_off_ms, obs_on_ms, obs_ratio, obs_epsilon_ms,
               obs_gate_ok ? "OK" : "FAIL");
 
-  if (!trace_out_path.empty() && obs_bundle) {
+  // ------------------------------------------------ Chrome trace export
+  // The streamed Chrome export of the traced run above, best of N, next
+  // to that run's own wall time: export_over_on is the dimensionless
+  // "what does explaining the run cost" figure.
+  const obs::TraceData drained = obs_bundle->recorder.Drain();
+  const std::int64_t export_records = static_cast<std::int64_t>(
+      drained.requests.size() + drained.batches.size() +
+      drained.instants.size() + drained.counters.size());
+  const int export_rounds = smoke ? 3 : 5;
+  double export_ms = 0.0;
+  std::string chrome_trace;
+  for (int round = 0; round < export_rounds; ++round) {
+    const auto start = Clock::now();
+    chrome_trace = obs_bundle->ChromeTraceJson();
+    const double ms = ElapsedNs(start) / 1e6;
+    if (round == 0 || ms < export_ms) {
+      export_ms = ms;
+    }
+  }
+  const double export_mb = static_cast<double>(chrome_trace.size()) / 1e6;
+  const double export_mb_per_s = export_mb / (export_ms / 1e3);
+  const double export_over_on = export_ms / obs_on_ms;
+  std::printf("Chrome export (best of %d): %lld records, %.2f MB in %.3f ms "
+              "-> %.0f MB/s, %.2fx the traced run\n",
+              export_rounds, static_cast<long long>(export_records),
+              export_mb, export_ms, export_mb_per_s, export_over_on);
+
+  if (!trace_out_path.empty()) {
     std::ofstream trace_file(trace_out_path);
     if (!trace_file) {
       std::fprintf(stderr, "cannot write %s\n", trace_out_path.c_str());
       return 2;
     }
-    trace_file << obs_bundle->ChromeTraceJson() << "\n";
+    trace_file << chrome_trace << "\n";
     std::printf("Wrote %s\n", trace_out_path.c_str());
   }
 
@@ -484,6 +513,14 @@ int main(int argc, char** argv) {
   obs_overhead["gate_epsilon_ms"] = Json(obs_epsilon_ms);
   obs_overhead["ok"] = Json(obs_gate_ok);
 
+  JsonObject obs_export;
+  obs_export["rounds"] = Json(export_rounds);
+  obs_export["records"] = Json(export_records);
+  obs_export["mb"] = Json(export_mb);
+  obs_export["export_ms"] = Json(export_ms);
+  obs_export["mb_per_s"] = Json(export_mb_per_s);
+  obs_export["export_over_on"] = Json(export_over_on);
+
   JsonObject event_core;
   event_core["micro_events"] = Json(micro_events);
   event_core["heap_events_per_s"] = Json(heap_events_per_s);
@@ -525,6 +562,7 @@ int main(int argc, char** argv) {
   root["serve"] = Json(std::move(serve_run));
   root["event_core"] = Json(std::move(event_core));
   root["obs_overhead"] = Json(std::move(obs_overhead));
+  root["obs_export"] = Json(std::move(obs_export));
   root["scale"] = Json(std::move(scale));
   root["contract"] = Json(std::move(contract));
   root["checksum_sink"] = Json(sink);  // Keeps the timed loops honest.

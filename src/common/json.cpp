@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 namespace nsflow {
 namespace {
@@ -245,7 +244,21 @@ class Parser {
   std::size_t pos_ = 0;
 };
 
-void EscapeString(std::string& out, const std::string& s) {
+}  // namespace
+
+void AppendJsonNumber(std::string& out, double d) {
+  // 24 chars hold the longest "%.17g" rendering ("-2.2250738585072014e-308").
+  char buf[32];
+  const std::to_chars_result result =
+      d == std::floor(d) && std::abs(d) < 1e15
+          ? std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(d))
+          : std::to_chars(buf, buf + sizeof buf, d,
+                          std::chars_format::general, 17);
+  out.append(buf, result.ptr);
+}
+
+void AppendJsonString(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out.push_back('"');
   for (const char c : s) {
     switch (c) {
@@ -266,9 +279,9 @@ void EscapeString(std::string& out, const std::string& s) {
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          out += "\\u00";
+          out.push_back(kHex[(c >> 4) & 0xf]);
+          out.push_back(kHex[c & 0xf]);
         } else {
           out.push_back(c);
         }
@@ -276,18 +289,6 @@ void EscapeString(std::string& out, const std::string& s) {
   }
   out.push_back('"');
 }
-
-void FormatNumber(std::string& out, double d) {
-  if (d == std::floor(d) && std::abs(d) < 1e15) {
-    out += std::to_string(static_cast<std::int64_t>(d));
-  } else {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", d);
-    out += buf;
-  }
-}
-
-}  // namespace
 
 bool Json::AsBool() const {
   if (!is_bool()) {
@@ -414,10 +415,10 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
       out += std::get<bool>(value_) ? "true" : "false";
       break;
     case Type::kNumber:
-      FormatNumber(out, std::get<double>(value_));
+      AppendJsonNumber(out, std::get<double>(value_));
       break;
     case Type::kString:
-      EscapeString(out, std::get<std::string>(value_));
+      AppendJsonString(out, std::get<std::string>(value_));
       break;
     case Type::kArray: {
       const auto& array = std::get<JsonArray>(value_);
@@ -451,7 +452,7 @@ void Json::DumpTo(std::string& out, int indent, int depth) const {
         }
         first = false;
         newline(depth + 1);
-        EscapeString(out, key);
+        AppendJsonString(out, key);
         out += indent > 0 ? ": " : ":";
         value.DumpTo(out, indent, depth + 1);
       }

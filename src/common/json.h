@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -95,5 +96,15 @@ class Json {
                JsonObject>
       value_;
 };
+
+/// The number and string formatters Json::Dump uses, for writers that
+/// stream JSON text without building a tree (obs/chrome_trace.cpp).
+///
+/// Integral values below 1e15 in magnitude print as plain integers; every
+/// other value prints as printf's "%.17g" would (std::to_chars, general
+/// format, precision 17), which round-trips every double bit-exactly.
+void AppendJsonNumber(std::string& out, double d);
+/// `s` quoted, with '"', '\\' and control characters escaped.
+void AppendJsonString(std::string& out, std::string_view s);
 
 }  // namespace nsflow

@@ -1,16 +1,11 @@
 #include "obs/chrome_trace.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cstring>
 #include <utility>
 
 #include "common/error.h"
-
-// GCC 12 issues a spurious -Wrestrict for short string-literal assignments
-// inlined into vector-growth paths (GCC PR105329); the copies here target
-// freshly allocated, provably non-overlapping storage.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wrestrict"
-#endif
 
 namespace nsflow::obs {
 
@@ -19,6 +14,8 @@ namespace {
 constexpr int kRequestsPid = 1;
 constexpr int kReplicasPid = 2;
 constexpr int kAutoscalerPid = 3;
+static_assert(kRequestsPid == 1 && kReplicasPid == 2 && kAutoscalerPid == 3,
+              "ChromeWriter's constant fragments spell the pids out");
 
 constexpr double kUsPerSecond = 1e6;
 
@@ -36,276 +33,393 @@ const char* CloseName(BatchClose close) {
   return "";
 }
 
-std::string WorkloadName(const TraceMeta& meta, std::int32_t workload) {
-  if (workload >= 0 &&
-      workload < static_cast<std::int32_t>(meta.workload_names.size())) {
-    return meta.workload_names[static_cast<std::size_t>(workload)];
-  }
-  return "workload " + std::to_string(workload);
-}
+/// How an instant kind renders: its name, category and track.
+struct InstantStyle {
+  const char* name;
+  const char* cat;
+  int pid;
+  bool on_replica;  // tid = the record's replica (else 0).
+};
 
-ChromeEvent Metadata(const char* what, int pid, int tid, std::string name) {
-  ChromeEvent event;
-  event.name = what;  // "process_name" / "thread_name".
-  event.ph = "M";
-  event.pid = pid;
-  event.tid = tid;
-  event.args["name"] = Json(std::move(name));
-  return event;
-}
-
-ChromeEvent Instant(const InstantEvent& record, const TraceMeta& meta) {
-  ChromeEvent event;
-  event.ph = "i";
-  event.ts_us = record.t_s * kUsPerSecond;
-  event.scope = "t";
-  switch (record.kind) {
+InstantStyle StyleOf(InstantKind kind) {
+  switch (kind) {
     case InstantKind::kAutoscalerDecision:
-      event.name = "decision";
-      event.cat = "autoscaler";
-      event.pid = kAutoscalerPid;
-      break;
+      return {"decision", "autoscaler", kAutoscalerPid, false};
     case InstantKind::kAutoscalerDeferred:
-      event.name = "add deferred";
-      event.cat = "autoscaler";
-      event.pid = kAutoscalerPid;
-      break;
+      return {"add deferred", "autoscaler", kAutoscalerPid, false};
     case InstantKind::kReplicaAdded:
-      event.name = "added";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
+      return {"added", "replica", kReplicasPid, true};
     case InstantKind::kReplicaDraining:
-      event.name = "draining";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
+      return {"draining", "replica", kReplicasPid, true};
     case InstantKind::kReplicaRetired:
-      event.name = "retired";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
+      return {"retired", "replica", kReplicasPid, true};
     case InstantKind::kReplicaRefit:
-      event.name = "refit";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
+      return {"refit", "replica", kReplicasPid, true};
     case InstantKind::kReplicaFailed:
-      event.name = "failed";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
+      return {"failed", "replica", kReplicasPid, true};
     case InstantKind::kReplicaRecovered:
-      event.name = "recovered";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
+      return {"recovered", "replica", kReplicasPid, true};
     case InstantKind::kReplicaDerated:
-      event.name = "derated";
-      event.cat = "replica";
-      event.pid = kReplicasPid;
-      event.tid = record.replica;
-      break;
+      return {"derated", "replica", kReplicasPid, true};
     case InstantKind::kEnvironment:
-      event.name = "environment";
-      event.cat = "adversity";
-      event.pid = kAutoscalerPid;
-      break;
+      return {"environment", "adversity", kAutoscalerPid, false};
     case InstantKind::kAdmissionShed:
-      event.name = "shed";
-      event.cat = "admission";
-      event.pid = kAutoscalerPid;
-      break;
+      return {"shed", "admission", kAutoscalerPid, false};
     case InstantKind::kAdmissionRetry:
-      event.name = "retry";
-      event.cat = "admission";
-      event.pid = kAutoscalerPid;
-      break;
+      return {"retry", "admission", kAutoscalerPid, false};
     case InstantKind::kAdmissionExpired:
-      event.name = "expired";
-      event.cat = "admission";
-      event.pid = kAutoscalerPid;
-      break;
+      return {"expired", "admission", kAutoscalerPid, false};
     case InstantKind::kClusterRoute:
-      event.name = "route";
-      event.cat = "cluster";
-      event.pid = kAutoscalerPid;
-      break;
+      return {"route", "cluster", kAutoscalerPid, false};
   }
-  if (!record.detail.empty()) {
-    event.args["detail"] = Json(record.detail);
-  }
-  if (record.workload >= 0) {
-    event.args["workload"] = Json(WorkloadName(meta, record.workload));
-  }
-  return event;
+  return {"", "", kAutoscalerPid, false};
 }
 
-ChromeEvent CounterEvent(double t_s, const char* name, const char* key,
-                         Json value) {
-  ChromeEvent event;
-  event.name = name;
-  event.ph = "C";
-  event.cat = "autoscaler";
-  event.ts_us = t_s * kUsPerSecond;
-  event.pid = kAutoscalerPid;
-  event.args[key] = std::move(value);
-  return event;
+/// Workload track names, quoted and escaped once per export.
+class WorkloadNames {
+ public:
+  explicit WorkloadNames(const TraceMeta& meta) {
+    quoted_.reserve(meta.workload_names.size());
+    for (const std::string& name : meta.workload_names) {
+      AppendJsonString(quoted_.emplace_back(), name);
+      longest_ = std::max(longest_, quoted_.back().size());
+    }
+  }
+
+  /// The JSON string naming `workload` ("workload <id>" past the table).
+  std::string_view operator()(std::int32_t workload) {
+    if (workload >= 0 &&
+        workload < static_cast<std::int32_t>(quoted_.size())) {
+      return quoted_[static_cast<std::size_t>(workload)];
+    }
+    fallback_.clear();
+    AppendJsonString(fallback_, "workload " + std::to_string(workload));
+    return fallback_;
+  }
+
+  /// The longest quoted name in the table.
+  std::size_t longest() const { return longest_; }
+
+ private:
+  std::vector<std::string> quoted_;
+  std::size_t longest_ = 0;
+  std::string fallback_;
+};
+
+/// Streams the trace_event document into one string. This is the single
+/// owner of the key layout: every event writes its keys in sorted order
+///   args, cat, dur, id, name, ph, pid, s, tid, ts
+/// and args keys sorted as well — the order Json::Dump gives a parsed
+/// document, which is what keeps Parse -> Serialize bit-exact. The record
+/// kinds write their constant fragments whole; Event() is the general
+/// form, used only to re-serialize parsed events.
+class ChromeWriter {
+ public:
+  explicit ChromeWriter(std::string& out) : out_(out) {
+    Put("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+  }
+
+  void Finish() { Put("]}"); }
+
+  void Event(const ChromeEvent& event) {
+    Open();
+    if (!event.args.empty()) {
+      Put("\"args\":{");
+      bool first = true;
+      for (const auto& [key, value] : event.args) {
+        if (!first) {
+          out_.push_back(',');
+        }
+        first = false;
+        AppendJsonString(out_, key);
+        out_.push_back(':');
+        out_ += value.Dump();
+      }
+      Put("},");
+    }
+    if (!event.cat.empty()) {
+      Put("\"cat\":");
+      AppendJsonString(out_, event.cat);
+      out_.push_back(',');
+    }
+    if (event.dur_us >= 0.0) {
+      Put("\"dur\":");
+      Number(event.dur_us);
+      out_.push_back(',');
+    }
+    if (!event.id.empty()) {
+      Put("\"id\":");
+      AppendJsonString(out_, event.id);
+      out_.push_back(',');
+    }
+    Put("\"name\":");
+    AppendJsonString(out_, event.name);
+    Put(",\"ph\":");
+    AppendJsonString(out_, event.ph);
+    Put(",\"pid\":");
+    Number(event.pid);
+    if (!event.scope.empty()) {
+      Put(",\"s\":");
+      AppendJsonString(out_, event.scope);
+    }
+    Put(",\"tid\":");
+    Number(event.tid);
+    Put(",\"ts\":");
+    Number(event.ts_us);
+    out_.push_back('}');
+  }
+
+  /// A "process_name" / "thread_name" metadata event.
+  void Metadata(const char* what, int pid, int tid, std::string_view name) {
+    Open();
+    Put("\"args\":{\"name\":");
+    AppendJsonString(out_, name);
+    Put("},\"name\":\"");
+    out_ += what;
+    Put("\",\"ph\":\"M\",\"pid\":");
+    Number(pid);
+    Put(",\"tid\":");
+    Number(tid);
+    Put(",\"ts\":0}");
+  }
+
+  /// One autoscaler-track counter series point: {"<key>": value}.
+  void Counter(double t_s, const char* name, const char* key, double value) {
+    Open();
+    Put("\"args\":{\"");
+    out_ += key;
+    Put("\":");
+    Number(value);
+    Put("},\"cat\":\"autoscaler\",\"name\":\"");
+    out_ += name;
+    Put("\",\"ph\":\"C\",\"pid\":3,\"tid\":0,\"ts\":");
+    Number(t_s * kUsPerSecond);
+    out_.push_back('}');
+  }
+
+  void Instant(const InstantEvent& record, WorkloadNames& names) {
+    const InstantStyle style = StyleOf(record.kind);
+    Open();
+    const bool has_detail = !record.detail.empty();
+    const bool has_workload = record.workload >= 0;
+    if (has_detail || has_workload) {
+      Put("\"args\":{");
+      if (has_detail) {
+        Put("\"detail\":");
+        AppendJsonString(out_, record.detail);
+        if (has_workload) {
+          out_.push_back(',');
+        }
+      }
+      if (has_workload) {
+        Put("\"workload\":");
+        out_ += names(record.workload);
+      }
+      Put("},");
+    }
+    Put("\"cat\":\"");
+    out_ += style.cat;
+    Put("\",\"name\":\"");
+    out_ += style.name;
+    Put("\",\"ph\":\"i\",\"pid\":");
+    Number(style.pid);
+    Put(",\"s\":\"t\",\"tid\":");
+    Number(style.on_replica ? record.replica : 0);
+    Put(",\"ts\":");
+    Number(record.t_s * kUsPerSecond);
+    out_.push_back('}');
+  }
+
+  /// A batch's complete "X" event on its replica track.
+  void Batch(const BatchSpan& batch, std::string_view name) {
+    Open();
+    Put("\"args\":{\"batch\":");
+    Number(batch.batch_index);
+    CloseArg(batch.close);
+    Put(",\"size\":");
+    Number(batch.size);
+    Put("},\"cat\":\"batch\"");
+    const double dur_us = (batch.complete_s - batch.start_s) * kUsPerSecond;
+    if (dur_us >= 0.0) {
+      Put(",\"dur\":");
+      Number(dur_us);
+    }
+    Put(",\"name\":");
+    out_ += name;
+    Put(",\"ph\":\"X\",\"pid\":2,\"tid\":");
+    Number(batch.replica);
+    Put(",\"ts\":");
+    Number(batch.start_s * kUsPerSecond);
+    out_.push_back('}');
+  }
+
+  /// A request's async span on its workload track: "b" at arrival, "e" at
+  /// completion carrying the batch placement. kFull nests the "form"
+  /// (arrival -> batch close) and "execute" (dispatch -> completion)
+  /// phases under the same id; the gap between them is the dispatch wait
+  /// on a busy replica.
+  void Request(const RequestSpan& span, std::string_view name,
+               TraceDetail detail) {
+    char buf[24];
+    const std::string_view id(
+        buf, std::to_chars(buf, buf + sizeof buf, span.request_id).ptr - buf);
+    Open();
+    Async(id, name, true, span.workload, span.arrival_s);
+    if (detail == TraceDetail::kFull) {
+      Open();
+      Async(id, "\"form\"", true, span.workload, span.arrival_s);
+      Open();
+      Async(id, "\"form\"", false, span.workload, span.formed_s);
+      Open();
+      Async(id, "\"execute\"", true, span.workload, span.start_s);
+      Open();
+      Async(id, "\"execute\"", false, span.workload, span.complete_s);
+    }
+    Open();
+    Put("\"args\":{\"batch\":");
+    Number(span.batch_index);
+    Put(",\"batch_size\":");
+    Number(span.batch_size);
+    CloseArg(span.close);
+    Put(",\"replica\":");
+    Number(span.replica);
+    Put("},");
+    Async(id, name, false, span.workload, span.complete_s);
+  }
+
+ private:
+  template <std::size_t N>
+  void Put(const char (&literal)[N]) {
+    out_.append(literal, N - 1);
+  }
+
+  /// Integers and doubles alike go through the Json::Dump formatter.
+  void Number(double value) { AppendJsonNumber(out_, value); }
+
+  /// The optional "close" arg of batch and request-end events.
+  void CloseArg(BatchClose close) {
+    if (close != BatchClose::kNone) {
+      Put(",\"close\":\"");
+      out_ += CloseName(close);
+      out_.push_back('"');
+    }
+  }
+
+  /// Starts an event: the separating comma, then "{".
+  void Open() {
+    if (first_) {
+      first_ = false;
+      out_.push_back('{');
+    } else {
+      Put(",{");
+    }
+  }
+
+  /// The keys after "args" of a request-track async event, through "}".
+  void Async(std::string_view id, std::string_view name, bool begin,
+             std::int32_t tid, double t_s) {
+    Put("\"cat\":\"request\",\"id\":\"");
+    out_ += id;
+    Put("\",\"name\":");
+    out_ += name;
+    if (begin) {
+      Put(",\"ph\":\"b\",\"pid\":1,\"tid\":");
+    } else {
+      Put(",\"ph\":\"e\",\"pid\":1,\"tid\":");
+    }
+    Number(tid);
+    Put(",\"ts\":");
+    Number(t_s * kUsPerSecond);
+    out_.push_back('}');
+  }
+
+  std::string& out_;
+  bool first_ = true;
+};
+
+/// An upper bound on the streamed document's size, so one reserve covers
+/// the whole export (and a caller's trailing newline). Each constant is
+/// its record kind's fragments plus 24 bytes per number — the longest
+/// "%.17g" rendering — and 20 per request id; names and details are
+/// counted at their escaped length (at most 6 bytes per input byte).
+std::size_t ByteBound(const TraceData& data, const TraceMeta& meta,
+                      TraceDetail detail, std::size_t name_bytes) {
+  constexpr std::size_t kFrame = 64;           // Document header + footer.
+  constexpr std::size_t kMetadataEvent = 160;  // + the track name.
+  constexpr std::size_t kCounterSample = 480;  // Three counter events.
+  constexpr std::size_t kInstantEvent = 256;   // + detail + workload name.
+  constexpr std::size_t kBatchEvent = 288;     // + workload name.
+  constexpr std::size_t kAsyncEvent = 160;     // + name; "e" adds args:
+  constexpr std::size_t kRequestArgs = 160;
+  const std::size_t tracks =
+      4 + meta.workload_names.size() + static_cast<std::size_t>(meta.replicas);
+  std::size_t bytes = kFrame + tracks * (kMetadataEvent + name_bytes) +
+                      data.counters.size() * kCounterSample +
+                      data.batches.size() * (kBatchEvent + name_bytes);
+  for (const InstantEvent& instant : data.instants) {
+    bytes += kInstantEvent + name_bytes + 6 * instant.detail.size();
+  }
+  const std::size_t async_events = detail == TraceDetail::kFull ? 6 : 2;
+  bytes += data.requests.size() *
+           (async_events * (kAsyncEvent + name_bytes) + kRequestArgs);
+  return bytes;
 }
 
 }  // namespace
 
-std::vector<ChromeEvent> BuildChromeTrace(const TraceData& data,
-                                          const TraceMeta& meta,
-                                          TraceDetail detail) {
-  std::vector<ChromeEvent> events;
+std::string WriteChromeTrace(const TraceData& data, const TraceMeta& meta,
+                             TraceDetail detail) {
+  WorkloadNames names(meta);
+  // Phase names ("execute") and fallback names ("workload <id>") are
+  // short; the bound covers them with a 32-byte floor.
+  const std::size_t name_bytes = std::max<std::size_t>(names.longest(), 32);
+  std::string out;
+  out.reserve(ByteBound(data, meta, detail, name_bytes));
+  ChromeWriter writer(out);
   // Deterministic section order: metadata, counters, instants, batches,
   // request spans. Each section preserves Drain()'s (time, seq) order.
-  events.push_back(Metadata("process_name", kRequestsPid, 0, "requests"));
-  events.push_back(Metadata("process_name", kReplicasPid, 0, "replicas"));
-  events.push_back(Metadata("process_name", kAutoscalerPid, 0, "autoscaler"));
+  writer.Metadata("process_name", kRequestsPid, 0, "requests");
+  writer.Metadata("process_name", kReplicasPid, 0, "replicas");
+  writer.Metadata("process_name", kAutoscalerPid, 0, "autoscaler");
   for (std::size_t w = 0; w < meta.workload_names.size(); ++w) {
-    events.push_back(Metadata("thread_name", kRequestsPid, static_cast<int>(w),
-                              meta.workload_names[w]));
+    writer.Metadata("thread_name", kRequestsPid, static_cast<int>(w),
+                    meta.workload_names[w]);
   }
   for (int r = 0; r < meta.replicas; ++r) {
-    events.push_back(Metadata("thread_name", kReplicasPid, r,
-                              "replica " + std::to_string(r)));
+    writer.Metadata("thread_name", kReplicasPid, r,
+                    "replica " + std::to_string(r));
   }
-  events.push_back(Metadata("thread_name", kAutoscalerPid, 0, "control loop"));
+  writer.Metadata("thread_name", kAutoscalerPid, 0, "control loop");
 
   for (const CounterSample& sample : data.counters) {
-    events.push_back(CounterEvent(sample.t_s, "window_rate_rps", "rps",
-                                  Json(sample.window_rate_rps)));
-    events.push_back(CounterEvent(sample.t_s, "active_replicas", "replicas",
-                                  Json(sample.active_replicas)));
-    events.push_back(CounterEvent(sample.t_s, "queue_depth", "depth",
-                                  Json(sample.queue_depth)));
+    writer.Counter(sample.t_s, "window_rate_rps", "rps",
+                   sample.window_rate_rps);
+    writer.Counter(sample.t_s, "active_replicas", "replicas",
+                   sample.active_replicas);
+    writer.Counter(sample.t_s, "queue_depth", "depth",
+                   static_cast<double>(sample.queue_depth));
   }
-
   for (const InstantEvent& instant : data.instants) {
-    events.push_back(Instant(instant, meta));
+    writer.Instant(instant, names);
   }
-
   for (const BatchSpan& batch : data.batches) {
-    ChromeEvent event;
-    event.name = WorkloadName(meta, batch.workload);
-    event.cat = "batch";
-    event.ph = "X";
-    event.ts_us = batch.start_s * kUsPerSecond;
-    event.dur_us = (batch.complete_s - batch.start_s) * kUsPerSecond;
-    event.pid = kReplicasPid;
-    event.tid = batch.replica;
-    event.args["batch"] = Json(batch.batch_index);
-    event.args["size"] = Json(batch.size);
-    if (batch.close != BatchClose::kNone) {
-      event.args["close"] = Json(CloseName(batch.close));
-    }
-    events.push_back(std::move(event));
+    writer.Batch(batch, names(batch.workload));
   }
-
   for (const RequestSpan& span : data.requests) {
-    const std::string id = std::to_string(span.request_id);
-    ChromeEvent begin;
-    begin.name = WorkloadName(meta, span.workload);
-    begin.cat = "request";
-    begin.ph = "b";
-    begin.ts_us = span.arrival_s * kUsPerSecond;
-    begin.pid = kRequestsPid;
-    begin.tid = span.workload;
-    begin.id = id;
-    events.push_back(std::move(begin));
-
-    if (detail == TraceDetail::kFull) {
-      // Nested phase spans under the same async id: forming (arrival ->
-      // batch close) and execution (dispatch -> completion); the gap
-      // between them is the dispatch wait on a busy replica.
-      ChromeEvent form_b;
-      form_b.name = "form";
-      form_b.cat = "request";
-      form_b.ph = "b";
-      form_b.ts_us = span.arrival_s * kUsPerSecond;
-      form_b.pid = kRequestsPid;
-      form_b.tid = span.workload;
-      form_b.id = id;
-      events.push_back(std::move(form_b));
-      ChromeEvent form_e = events.back();
-      form_e.ph = "e";
-      form_e.ts_us = span.formed_s * kUsPerSecond;
-      form_e.args.clear();
-      events.push_back(std::move(form_e));
-
-      ChromeEvent exec_b;
-      exec_b.name = "execute";
-      exec_b.cat = "request";
-      exec_b.ph = "b";
-      exec_b.ts_us = span.start_s * kUsPerSecond;
-      exec_b.pid = kRequestsPid;
-      exec_b.tid = span.workload;
-      exec_b.id = id;
-      events.push_back(std::move(exec_b));
-      ChromeEvent exec_e = events.back();
-      exec_e.ph = "e";
-      exec_e.ts_us = span.complete_s * kUsPerSecond;
-      events.push_back(std::move(exec_e));
-    }
-
-    ChromeEvent end;
-    end.name = WorkloadName(meta, span.workload);
-    end.cat = "request";
-    end.ph = "e";
-    end.ts_us = span.complete_s * kUsPerSecond;
-    end.pid = kRequestsPid;
-    end.tid = span.workload;
-    end.id = id;
-    end.args["batch"] = Json(span.batch_index);
-    end.args["replica"] = Json(span.replica);
-    end.args["batch_size"] = Json(span.batch_size);
-    if (span.close != BatchClose::kNone) {
-      end.args["close"] = Json(CloseName(span.close));
-    }
-    events.push_back(std::move(end));
+    writer.Request(span, names(span.workload), detail);
   }
-  return events;
+  writer.Finish();
+  return out;
 }
 
 std::string SerializeChromeTrace(const std::vector<ChromeEvent>& events) {
-  JsonArray entries;
-  entries.reserve(events.size());
+  std::string out;
+  ChromeWriter writer(out);
   for (const ChromeEvent& event : events) {
-    JsonObject entry;
-    entry["name"] = Json(event.name);
-    entry["ph"] = Json(event.ph);
-    entry["pid"] = Json(event.pid);
-    entry["tid"] = Json(event.tid);
-    entry["ts"] = Json(event.ts_us);
-    if (!event.cat.empty()) {
-      entry["cat"] = Json(event.cat);
-    }
-    if (event.dur_us >= 0.0) {
-      entry["dur"] = Json(event.dur_us);
-    }
-    if (!event.id.empty()) {
-      entry["id"] = Json(event.id);
-    }
-    if (!event.scope.empty()) {
-      entry["s"] = Json(event.scope);
-    }
-    if (!event.args.empty()) {
-      entry["args"] = Json(event.args);
-    }
-    entries.push_back(Json(std::move(entry)));
+    writer.Event(event);
   }
-  JsonObject root;
-  root["displayTimeUnit"] = Json("ms");
-  root["traceEvents"] = Json(std::move(entries));
-  return Json(std::move(root)).Dump(0);
+  writer.Finish();
+  return out;
 }
 
 std::vector<ChromeEvent> ParseChromeTrace(std::string_view text) {

@@ -16,10 +16,13 @@
 //                       active replica count, and forming backlog.
 //
 // Timestamps are virtual seconds scaled to microseconds (the trace_event
-// unit). Serialization goes through common/json's deterministic dump
-// (sorted keys, bit-stable number formatting), so a fixed-seed run
-// serializes bit-identically — and SerializeChromeTrace(ParseChromeTrace(
-// text)) == text, the round-trip contract tests/obs_test.cpp pins.
+// unit). WriteChromeTrace streams the document straight from the drained
+// records into one reserved string — no event list, no JSON tree — with
+// sorted keys and common/json's number formatting, so a fixed-seed run
+// serializes bit-identically. ParseChromeTrace reads that text back into
+// ChromeEvents, and SerializeChromeTrace(ParseChromeTrace(text)) == text:
+// the round-trip contract tests/obs_test.cpp pins. Both writers share one
+// key layout (chrome_trace.cpp's ChromeWriter).
 #pragma once
 
 #include <cstdint>
@@ -47,9 +50,10 @@ struct TraceMeta {
   double duration_s = 0.0;                  // Virtual run horizon.
 };
 
-/// One trace_event entry. Optional fields use sentinels (`dur_us` < 0,
-/// empty strings) so the serializer emits exactly the keys that are set —
-/// which is what makes the typed parse -> re-emit round trip bit-exact.
+/// One parsed trace_event entry. Optional fields use sentinels (`dur_us`
+/// < 0, empty strings) so the serializer emits exactly the keys that are
+/// set — which is what makes the typed parse -> re-emit round trip
+/// bit-exact.
 struct ChromeEvent {
   std::string name;
   std::string cat;
@@ -63,19 +67,19 @@ struct ChromeEvent {
   JsonObject args;          // Empty = omitted.
 };
 
-/// Expand records + metadata into the flat trace_event list.
-std::vector<ChromeEvent> BuildChromeTrace(const TraceData& data,
-                                          const TraceMeta& meta,
-                                          TraceDetail detail);
+/// {"displayTimeUnit": "ms", "traceEvents": [...]} as compact JSON,
+/// streamed from the records. Deterministic: sorted keys and bit-stable
+/// number formatting. The string's capacity, reserved from the record
+/// counts, leaves room for a trailing newline.
+std::string WriteChromeTrace(const TraceData& data, const TraceMeta& meta,
+                             TraceDetail detail);
 
-/// {"displayTimeUnit": "ms", "traceEvents": [...]} as compact JSON.
-/// Deterministic: sorted keys and bit-stable number formatting.
-std::string SerializeChromeTrace(const std::vector<ChromeEvent>& events);
-
-/// Inverse of SerializeChromeTrace (schema round trip, not a general
-/// trace_event reader): re-serializing the parsed events reproduces the
-/// input byte-for-byte.
+/// Schema round trip, not a general trace_event reader: parses what
+/// WriteChromeTrace wrote...
 std::vector<ChromeEvent> ParseChromeTrace(std::string_view text);
+
+/// ...and writes it back byte-for-byte (the parser's inverse).
+std::string SerializeChromeTrace(const std::vector<ChromeEvent>& events);
 
 // ---- Compact binary encoding ("NSFT"): fixed-size little-endian records,
 // doubles bit-copied, strings length-prefixed. The ring-buffer companion:

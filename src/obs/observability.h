@@ -50,8 +50,7 @@ struct Observability {
 
   /// The Chrome trace_event JSON of everything recorded so far.
   std::string ChromeTraceJson() const {
-    return SerializeChromeTrace(
-        BuildChromeTrace(recorder.Drain(), meta, options.detail));
+    return WriteChromeTrace(recorder.Drain(), meta, options.detail);
   }
   /// The compact binary encoding of everything recorded so far.
   std::string BinaryTrace() const {

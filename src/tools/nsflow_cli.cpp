@@ -56,6 +56,13 @@ void WriteFile(const std::string& path, const std::string& contents) {
   out << contents;
 }
 
+/// WriteFile with a trailing newline, appended in place: a traced run's
+/// document can run to hundreds of MB, and `text + "\n"` would copy it.
+void WriteTextFile(const std::string& path, std::string text) {
+  text.push_back('\n');
+  WriteFile(path, text);
+}
+
 // ---------------------------------------------------------------- flag spec
 
 /// One command-line flag: its value placeholder ("" = boolean switch), the
@@ -777,7 +784,7 @@ void ExportObservability(const CliArgs& args,
       std::printf("Trace written to %s (compact binary, NSFT v1)\n",
                   args.trace_out.c_str());
     } else {
-      WriteFile(args.trace_out, report.obs->ChromeTraceJson() + "\n");
+      WriteTextFile(args.trace_out, report.obs->ChromeTraceJson());
       std::printf(
           "Trace written to %s (Chrome trace_event JSON — load in Perfetto "
           "or chrome://tracing)\n",
@@ -785,7 +792,7 @@ void ExportObservability(const CliArgs& args,
     }
   }
   if (!args.metrics_out.empty()) {
-    WriteFile(args.metrics_out, report.obs->MetricsJson() + "\n");
+    WriteTextFile(args.metrics_out, report.obs->MetricsJson());
     std::printf("Metrics timeline written to %s\n", args.metrics_out.c_str());
   }
   if (report.obs->recorder.dropped() > 0) {

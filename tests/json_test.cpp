@@ -1,6 +1,14 @@
 // Unit tests for the minimal JSON parser/serializer.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+
 #include "common/json.h"
 
 namespace nsflow {
@@ -79,6 +87,81 @@ TEST(JsonDumpTest, RoundTripPreservesValue) {
 TEST(JsonDumpTest, IntegersPrintWithoutDecimals) {
   EXPECT_EQ(Json(std::int64_t{272000000}).Dump(), "272000000");
   EXPECT_EQ(Json(16.0).Dump(), "16");
+}
+
+/// The number format Json::Dump has always written: plain integers below
+/// 1e15 in magnitude, printf's "%.17g" for everything else.
+std::string ReferenceNumber(double d) {
+  if (d == std::floor(d) && std::abs(d) < 1e15) {
+    return std::to_string(static_cast<std::int64_t>(d));
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", d);
+  return buf;
+}
+
+std::string Appended(double d) {
+  std::string out;
+  AppendJsonNumber(out, d);
+  return out;
+}
+
+TEST(JsonDumpTest, NumberFormatMatchesPrintfOnEdgeValues) {
+  const double edges[] = {
+      0.1,
+      1e15 - 0.5,
+      1e15,
+      -1e15,
+      1e15 + 2.0,
+      1e16,
+      -0.0,
+      0.0,
+      5e-324,
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0025 * 1e6,               // µs-scale timestamps, as the trace
+      0.004 * 1e6 - 0.0025 * 1e6,  // export computes them.
+      1.2345678901234567e3,
+      3599.999999 * 1e6,
+      (0.1 + 0.2) * 1e6,
+      -123.456,
+  };
+  for (const double d : edges) {
+    EXPECT_EQ(Appended(d), ReferenceNumber(d)) << d;
+    EXPECT_EQ(Json(d).Dump(), ReferenceNumber(d)) << d;
+  }
+}
+
+TEST(JsonDumpTest, NumberFormatMatchesPrintfOnRandomDoubles) {
+  std::mt19937_64 rng(20240601);
+  for (int i = 0; i < 200000; ++i) {
+    // Random sign, mantissa and exponent across (almost) the whole finite
+    // range, plus µs-scale timestamps of runs up to an hour long.
+    std::uint64_t bits = rng();
+    const std::uint64_t exponent = (bits >> 52) & 0x7ff;
+    if (exponent == 0x7ff) {
+      bits ^= std::uint64_t{1} << 62;  // Fold NaN/inf back into range.
+    }
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof d);
+    ASSERT_EQ(Appended(d), ReferenceNumber(d)) << d;
+    const double ts_us =
+        std::ldexp(static_cast<double>(rng() >> 11), -53) * 3600.0 * 1e6;
+    ASSERT_EQ(Appended(ts_us), ReferenceNumber(ts_us)) << ts_us;
+  }
+}
+
+TEST(JsonDumpTest, ControlCharactersUseUnicodeEscapes) {
+  const std::string raw = "a\x01" "b\x1f" "\"q\\\n\r\t\x7f";
+  const std::string expected = R"("a\u0001b\u001f\"q\\\n\r\t)" "\x7f\"";
+  std::string appended;
+  AppendJsonString(appended, raw);
+  EXPECT_EQ(appended, expected);
+  EXPECT_EQ(Json(raw).Dump(), expected);
+  EXPECT_EQ(Json::Parse(expected).AsString(), raw);
 }
 
 TEST(JsonDumpTest, IndentedOutputIsStable) {

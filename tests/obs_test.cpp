@@ -149,21 +149,53 @@ TraceMeta SampleMeta() {
 
 TEST(ObsChromeTraceTest, SerializeParseReserializeIsBitExact) {
   for (const TraceDetail detail : {TraceDetail::kSpans, TraceDetail::kFull}) {
-    const std::vector<ChromeEvent> events =
-        BuildChromeTrace(SampleTrace(), SampleMeta(), detail);
-    const std::string text = SerializeChromeTrace(events);
+    const std::string text =
+        WriteChromeTrace(SampleTrace(), SampleMeta(), detail);
     const std::vector<ChromeEvent> parsed = ParseChromeTrace(text);
-    ASSERT_EQ(parsed.size(), events.size());
     EXPECT_EQ(SerializeChromeTrace(parsed), text);
   }
 }
 
 TEST(ObsChromeTraceTest, FullDetailNestsPhaseSpans) {
-  const auto spans = BuildChromeTrace(SampleTrace(), SampleMeta(),
-                                      TraceDetail::kSpans);
-  const auto full = BuildChromeTrace(SampleTrace(), SampleMeta(),
-                                     TraceDetail::kFull);
-  EXPECT_GT(full.size(), spans.size());
+  const auto spans = ParseChromeTrace(
+      WriteChromeTrace(SampleTrace(), SampleMeta(), TraceDetail::kSpans));
+  const auto full = ParseChromeTrace(
+      WriteChromeTrace(SampleTrace(), SampleMeta(), TraceDetail::kFull));
+  // One request: "form" and "execute" each add a "b"/"e" pair.
+  EXPECT_EQ(full.size(), spans.size() + 4);
+}
+
+TEST(ObsChromeTraceTest, FullDetailBytesArePinned) {
+  // The matrix golden digest exports at kSpans only; this pins every key,
+  // fragment and number of the kFull layout, one event per line.
+  const std::string expected =
+      R"({"displayTimeUnit":"ms","traceEvents":[)"
+      R"({"args":{"name":"requests"},"name":"process_name","ph":"M","pid":1,"tid":0,"ts":0},)"
+      R"({"args":{"name":"replicas"},"name":"process_name","ph":"M","pid":2,"tid":0,"ts":0},)"
+      R"({"args":{"name":"autoscaler"},"name":"process_name","ph":"M","pid":3,"tid":0,"ts":0},)"
+      R"({"args":{"name":"mlp"},"name":"thread_name","ph":"M","pid":1,"tid":0,"ts":0},)"
+      R"({"args":{"name":"resnet18"},"name":"thread_name","ph":"M","pid":1,"tid":1,"ts":0},)"
+      R"({"args":{"name":"replica 0"},"name":"thread_name","ph":"M","pid":2,"tid":0,"ts":0},)"
+      R"({"args":{"name":"replica 1"},"name":"thread_name","ph":"M","pid":2,"tid":1,"ts":0},)"
+      R"({"args":{"name":"replica 2"},"name":"thread_name","ph":"M","pid":2,"tid":2,"ts":0},)"
+      R"({"args":{"name":"replica 3"},"name":"thread_name","ph":"M","pid":2,"tid":3,"ts":0},)"
+      R"({"args":{"name":"replica 4"},"name":"thread_name","ph":"M","pid":2,"tid":4,"ts":0},)"
+      R"({"args":{"name":"replica 5"},"name":"thread_name","ph":"M","pid":2,"tid":5,"ts":0},)"
+      R"({"args":{"name":"control loop"},"name":"thread_name","ph":"M","pid":3,"tid":0,"ts":0},)"
+      R"({"args":{"rps":212.5},"cat":"autoscaler","name":"window_rate_rps","ph":"C","pid":3,"tid":0,"ts":250000},)"
+      R"({"args":{"replicas":6},"cat":"autoscaler","name":"active_replicas","ph":"C","pid":3,"tid":0,"ts":250000},)"
+      R"({"args":{"depth":11},"cat":"autoscaler","name":"queue_depth","ph":"C","pid":3,"tid":0,"ts":250000},)"
+      R"({"args":{"detail":"add replica 5: demand above band","workload":"resnet18"},"cat":"replica","name":"added","ph":"i","pid":2,"s":"t","tid":5,"ts":250000},)"
+      R"({"args":{"batch":3,"close":"size_cap","size":4},"cat":"batch","dur":1500,"name":"resnet18","ph":"X","pid":2,"tid":2,"ts":2500},)"
+      R"({"cat":"request","id":"7","name":"resnet18","ph":"b","pid":1,"tid":1,"ts":1000},)"
+      R"({"cat":"request","id":"7","name":"form","ph":"b","pid":1,"tid":1,"ts":1000},)"
+      R"({"cat":"request","id":"7","name":"form","ph":"e","pid":1,"tid":1,"ts":2000},)"
+      R"({"cat":"request","id":"7","name":"execute","ph":"b","pid":1,"tid":1,"ts":2500},)"
+      R"({"cat":"request","id":"7","name":"execute","ph":"e","pid":1,"tid":1,"ts":4000},)"
+      R"({"args":{"batch":3,"batch_size":4,"close":"size_cap","replica":2},"cat":"request","id":"7","name":"resnet18","ph":"e","pid":1,"tid":1,"ts":4000})"
+      R"(]})";
+  EXPECT_EQ(WriteChromeTrace(SampleTrace(), SampleMeta(), TraceDetail::kFull),
+            expected);
 }
 
 TEST(ObsBinaryTraceTest, EncodeDecodeReencodeIsByteExact) {

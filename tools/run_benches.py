@@ -114,6 +114,14 @@ def collect_metrics(serve_report, plan_report):
                 ("obs_overhead.on_wall_ms", obs["on_wall_ms"],
                  "lower", "wall"),
             ]
+        obs_export = serve_report.get("obs_export")
+        if obs_export is not None:
+            metrics += [
+                ("obs_export.mb_per_s", obs_export["mb_per_s"],
+                 "higher", "wall"),
+                ("obs_export.export_over_on", obs_export["export_over_on"],
+                 "lower", "wall"),
+            ]
         scale = serve_report.get("scale")
         if scale is not None:
             metrics += [
@@ -317,6 +325,11 @@ def main():
         print(f"obs overhead: off {obs['off_wall_ms']:.3f} ms -> on "
               f"{obs['on_wall_ms']:.3f} ms ({obs['ratio']:.2f}x, gate "
               f"{obs['gate_ratio']:.2f}x + {obs['gate_epsilon_ms']:.1f} ms)")
+    obs_export = report.get("obs_export")
+    if obs_export is not None:
+        print(f"chrome export: {obs_export['records']} records, "
+              f"{obs_export['mb']:.2f} MB at {obs_export['mb_per_s']:.0f} "
+              f"MB/s ({obs_export['export_over_on']:.2f}x the traced run)")
     scale = report.get("scale")
     if scale is not None:
         points = ", ".join(f"{p['replicas']}: {p['ns_per_request']:.0f}"
