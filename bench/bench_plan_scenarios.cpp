@@ -34,8 +34,11 @@
 // gated on the critical tenant holding its p99 SLO, every cross-node
 // dispatch carrying non-zero modeled network time, same-seed
 // bit-identity, and the shared trace invariants (tests/trace_invariants.h)
-// on the traced repeat — per-tenant conservation among them. The section
-// records offered/admitted/shed/expired/completed per SLA tier.
+// on the traced repeat — per-tenant conservation among them.
+//
+// The adversity, admission and cluster rows each carry their run's
+// conservation ledger as `per_tier`: offered, admitted, shed, expired and
+// completed requests per SLA tier.
 //
 // Usage: bench_plan_scenarios [--out BENCH_plan.json] [--smoke]
 #include <chrono>
@@ -58,6 +61,54 @@ using Clock = std::chrono::steady_clock;
 double ElapsedMs(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
+}
+
+/// A gate run's conservation ledger: offered, admitted, shed, expired and
+/// completed requests per SLA tier, printed and returned as the row's
+/// `per_tier` object. A run without an admission frontend offers and
+/// admits every generated request, all in the `standard` tier.
+nsflow::Json TierLedger(const nsflow::serve::ServeReport& report) {
+  using namespace nsflow;
+  JsonObject ledger;
+  const auto row = [&](const std::string& name, std::int64_t offered,
+                       std::int64_t admitted, std::int64_t shed,
+                       std::int64_t expired, std::int64_t completed) {
+    JsonObject accounting;
+    accounting["offered"] = Json(offered);
+    accounting["admitted"] = Json(admitted);
+    accounting["shed"] = Json(shed);
+    accounting["expired"] = Json(expired);
+    accounting["completed"] = Json(completed);
+    ledger[name] = Json(std::move(accounting));
+    std::printf("  %-8s offered %lld, admitted %lld, shed %lld, expired "
+                "%lld, completed %lld\n",
+                name.c_str(), static_cast<long long>(offered),
+                static_cast<long long>(admitted),
+                static_cast<long long>(shed),
+                static_cast<long long>(expired),
+                static_cast<long long>(completed));
+  };
+  if (report.admission.empty()) {
+    row(serve::TierName(serve::SlaTier::kStandard), report.generated_requests,
+        report.generated_requests, 0, 0, report.summary.completed);
+    return Json(std::move(ledger));
+  }
+  for (const serve::TierSummary& tier : report.summary.per_tier) {
+    std::int64_t offered = 0;
+    std::int64_t admitted = 0;
+    std::int64_t shed = 0;
+    std::int64_t expired = 0;
+    for (const serve::AdmissionTenantSummary& tenant : report.admission) {
+      if (tenant.tier == tier.tier) {
+        offered += tenant.offered;
+        admitted += tenant.admitted;
+        shed += tenant.shed();
+        expired += tenant.expired;
+      }
+    }
+    row(tier.name, offered, admitted, shed, expired, tier.completed);
+  }
+  return Json(std::move(ledger));
 }
 
 }  // namespace
@@ -315,6 +366,7 @@ int main(int argc, char** argv) {
       "%.1f%% overhead, %d deltas\n",
       fault_report.summary.p99_ms, fault_report.replica_seconds, fault_ms,
       100.0 * (fault_overhead - 1.0), fault_deltas.total());
+  Json fault_ledger = TierLedger(fault_report);
   if (fault_report.summary.p99_ms > slo_ms) {
     ++violations;
     std::fprintf(stderr,
@@ -357,6 +409,7 @@ int main(int argc, char** argv) {
   adversity["deltas_refit"] = Json(fault_deltas.refits);
   adversity["completed"] = Json(fault_report.summary.completed);
   adversity["generated"] = Json(fault_report.generated_requests);
+  adversity["per_tier"] = std::move(fault_ledger);
   adversity["fault_wall_ms"] = Json(fault_ms);
 
   // ---- bench_admission: the overload-shedding headline (docs/ADMISSION.md).
@@ -423,6 +476,7 @@ int main(int argc, char** argv) {
       critical_p99_ms, slo_ms, static_cast<long long>(batch_shed),
       static_cast<long long>(protected_loss),
       static_cast<long long>(offered_total), admission_ms);
+  Json guarded_ledger = TierLedger(guarded);
   if (critical_p99_ms > slo_ms) {
     ++violations;
     std::fprintf(stderr,
@@ -473,6 +527,7 @@ int main(int argc, char** argv) {
   admission["completed"] = Json(guarded.summary.completed);
   admission["generated"] = Json(guarded.generated_requests);
   admission["bit_identical"] = Json(bit_identical);
+  admission["per_tier"] = std::move(guarded_ledger);
   admission["wall_ms"] = Json(admission_ms);
 
   // ---- bench_cluster: the multi-node survival gate (docs/CLUSTER.md).
@@ -577,37 +632,6 @@ int main(int argc, char** argv) {
                  cluster_invariants.size(), cluster_invariants[0].c_str());
   }
 
-  // Request accounting per SLA tier: where the offered load went.
-  JsonObject cluster_tiers;
-  for (const serve::TierSummary& tier : clustered.summary.per_tier) {
-    std::int64_t offered = 0;
-    std::int64_t admitted = 0;
-    std::int64_t shed = 0;
-    std::int64_t expired = 0;
-    for (const serve::AdmissionTenantSummary& row : clustered.admission) {
-      if (row.tier == tier.tier) {
-        offered += row.offered;
-        admitted += row.admitted;
-        shed += row.shed();
-        expired += row.expired;
-      }
-    }
-    JsonObject accounting;
-    accounting["offered"] = Json(offered);
-    accounting["admitted"] = Json(admitted);
-    accounting["shed"] = Json(shed);
-    accounting["expired"] = Json(expired);
-    accounting["completed"] = Json(tier.completed);
-    cluster_tiers[tier.name] = Json(std::move(accounting));
-    std::printf("  %-8s offered %lld, admitted %lld, shed %lld, expired "
-                "%lld, completed %lld\n",
-                tier.name.c_str(), static_cast<long long>(offered),
-                static_cast<long long>(admitted),
-                static_cast<long long>(shed),
-                static_cast<long long>(expired),
-                static_cast<long long>(tier.completed));
-  }
-
   JsonObject cluster;
   cluster["spec"] = Json(cluster_options.cluster.ToString());
   cluster["nodes"] = Json(cluster_plan.nodes);
@@ -625,7 +649,7 @@ int main(int argc, char** argv) {
   cluster["completed"] = Json(clustered.summary.completed);
   cluster["generated"] = Json(clustered.generated_requests);
   cluster["bit_identical"] = Json(cluster_bit_identical);
-  cluster["per_tier"] = Json(std::move(cluster_tiers));
+  cluster["per_tier"] = TierLedger(clustered);
   cluster["invariant_violations"] =
       Json(static_cast<std::int64_t>(cluster_invariants.size()));
   cluster["wall_ms"] = Json(cluster_ms);

@@ -39,7 +39,10 @@
 // per-replica load at every size (qps proportional to replicas). It
 // records host ns per request at each size, and the bench exits non-zero
 // when the 1024-replica figure exceeds 1.5x the 16-replica one from the
-// same process.
+// same process. Its `scale_admission` twin repeats the curve with guard
+// admission on (mlp critical, resnet18 batch), so the per-offer live
+// fraction read (docs/PERFORMANCE.md, "Control plane") is gated the same
+// way.
 //
 // Usage: bench_serve_fastpath [--out BENCH_serve.json] [--smoke]
 //                             [--trace-out trace.json]
@@ -431,7 +434,10 @@ int main(int argc, char** argv) {
   // the same request count at the same per-replica load (wide-pool's
   // 90k rps over 1024 replicas), so only the replica count differs. Sizes
   // interleave within each round and each keeps its best round, so a
-  // stretch of host noise cannot land on one size alone.
+  // stretch of host noise cannot land on one size alone. The curve runs
+  // twice: admission off (`scale`) and guard admission on
+  // (`scale_admission`), where every arrival reads the pool's live
+  // fraction before it can enter a lane.
   const std::vector<int> scale_replicas = {16, 64, 256, 1024};
   const double scale_qps_per_replica = 90000.0 / 1024.0;
   const double scale_requests = smoke ? 100000.0 : 252000.0;
@@ -442,39 +448,57 @@ int main(int argc, char** argv) {
   scale_registry.RegisterBuiltin("resnet18");
   const std::vector<serve::WorkloadShare> scale_mix =
       serve::ParseMix("mlp=0.5,resnet18=0.5");
-  std::vector<double> scale_ns(scale_replicas.size(), 0.0);
-  std::vector<std::int64_t> scale_generated(scale_replicas.size(), 0);
-  for (int round = 0; round < scale_rounds; ++round) {
-    for (std::size_t i = 0; i < scale_replicas.size(); ++i) {
-      const int replicas = scale_replicas[i];
-      serve::ServeOptions scale_options;
-      scale_options.qps = scale_qps_per_replica * replicas;
-      scale_options.duration_s = scale_requests / scale_options.qps;
-      scale_options.seed = 7;
-      scale_options.worker_threads = 1;
-      const auto start = Clock::now();
-      const serve::ServeReport run = serve::RunSyntheticServe(
-          scale_registry, scale_registry.ReplicaSpecs(replicas, true),
-          scale_mix, scale_options);
-      const double ns = ElapsedNs(start) /
-                        static_cast<double>(run.generated_requests);
-      sink += static_cast<double>(run.summary.completed);
-      scale_generated[i] = run.generated_requests;
-      if (round == 0 || ns < scale_ns[i]) {
-        scale_ns[i] = ns;
+  struct ScaleCurve {
+    std::string name;
+    bool admission = false;
+    std::vector<double> ns = {};
+    std::vector<std::int64_t> generated = {};
+    double ratio = 0.0;
+    bool ok = false;
+  };
+  std::vector<ScaleCurve> scale_curves = {{"scale", false},
+                                          {"scale_admission", true}};
+  for (ScaleCurve& curve : scale_curves) {
+    curve.ns.assign(scale_replicas.size(), 0.0);
+    curve.generated.assign(scale_replicas.size(), 0);
+    for (int round = 0; round < scale_rounds; ++round) {
+      for (std::size_t i = 0; i < scale_replicas.size(); ++i) {
+        const int replicas = scale_replicas[i];
+        serve::ServeOptions scale_options;
+        scale_options.qps = scale_qps_per_replica * replicas;
+        scale_options.duration_s = scale_requests / scale_options.qps;
+        scale_options.seed = 7;
+        scale_options.worker_threads = 1;
+        if (curve.admission) {
+          scale_options.admission = serve::AdmissionSpec::Parse("guard");
+          scale_options.tiers = {serve::SlaTier::kCritical,
+                                 serve::SlaTier::kBatch};
+        }
+        const auto start = Clock::now();
+        const serve::ServeReport run = serve::RunSyntheticServe(
+            scale_registry, scale_registry.ReplicaSpecs(replicas, true),
+            scale_mix, scale_options);
+        const double ns = ElapsedNs(start) /
+                          static_cast<double>(run.generated_requests);
+        sink += static_cast<double>(run.summary.completed);
+        curve.generated[i] = run.generated_requests;
+        if (round == 0 || ns < curve.ns[i]) {
+          curve.ns[i] = ns;
+        }
       }
     }
+    curve.ratio = curve.ns.back() / curve.ns.front();
+    curve.ok = curve.ratio <= scale_gate_ratio;
+    for (std::size_t i = 0; i < scale_replicas.size(); ++i) {
+      std::printf("%s: %4d replicas, %lld requests -> %.0f ns/request\n",
+                  curve.name.c_str(), scale_replicas[i],
+                  static_cast<long long>(curve.generated[i]), curve.ns[i]);
+    }
+    std::printf("%s ratio %d/%d replicas: %.2fx (gate %.1fx) %s\n",
+                curve.name.c_str(), scale_replicas.back(),
+                scale_replicas.front(), curve.ratio, scale_gate_ratio,
+                curve.ok ? "OK" : "FAIL");
   }
-  const double scale_ratio = scale_ns.back() / scale_ns.front();
-  const bool scale_gate_ok = scale_ratio <= scale_gate_ratio;
-  for (std::size_t i = 0; i < scale_replicas.size(); ++i) {
-    std::printf("Scale: %4d replicas, %lld requests -> %.0f ns/request\n",
-                scale_replicas[i],
-                static_cast<long long>(scale_generated[i]), scale_ns[i]);
-  }
-  std::printf("Scale ratio %d/%d replicas: %.2fx (gate %.1fx) %s\n",
-              scale_replicas.back(), scale_replicas.front(), scale_ratio,
-              scale_gate_ratio, scale_gate_ok ? "OK" : "FAIL");
 
   // ------------------------------------------------------------ emit JSON
   JsonObject cold_cache;
@@ -530,25 +554,33 @@ int main(int argc, char** argv) {
   event_core["event_wall_ms"] = Json(event_wall_ms);
   event_core["run_events_per_s"] = Json(run_events_per_s);
 
-  JsonArray scale_points;
-  for (std::size_t i = 0; i < scale_replicas.size(); ++i) {
-    JsonObject point;
-    point["replicas"] = Json(scale_replicas[i]);
-    point["qps"] = Json(scale_qps_per_replica * scale_replicas[i]);
-    point["requests"] = Json(scale_generated[i]);
-    point["ns_per_request"] = Json(scale_ns[i]);
-    scale_points.push_back(Json(std::move(point)));
+  std::vector<Json> scale_sections;
+  for (const ScaleCurve& curve : scale_curves) {
+    JsonArray points;
+    for (std::size_t i = 0; i < scale_replicas.size(); ++i) {
+      JsonObject point;
+      point["replicas"] = Json(scale_replicas[i]);
+      point["qps"] = Json(scale_qps_per_replica * scale_replicas[i]);
+      point["requests"] = Json(curve.generated[i]);
+      point["ns_per_request"] = Json(curve.ns[i]);
+      points.push_back(Json(std::move(point)));
+    }
+    JsonObject section;
+    section["mix"] = Json("mlp=0.5,resnet18=0.5");
+    section["partitioned"] = Json(true);
+    if (curve.admission) {
+      section["admission"] = Json("guard");
+      section["tiers"] = Json("mlp=critical,resnet18=batch");
+    }
+    section["seed"] = Json(7);
+    section["rounds"] = Json(scale_rounds);
+    section["qps_per_replica"] = Json(scale_qps_per_replica);
+    section["points"] = Json(std::move(points));
+    section["ratio"] = Json(curve.ratio);
+    section["gate_ratio"] = Json(scale_gate_ratio);
+    section["ok"] = Json(curve.ok);
+    scale_sections.push_back(Json(std::move(section)));
   }
-  JsonObject scale;
-  scale["mix"] = Json("mlp=0.5,resnet18=0.5");
-  scale["partitioned"] = Json(true);
-  scale["seed"] = Json(7);
-  scale["rounds"] = Json(scale_rounds);
-  scale["qps_per_replica"] = Json(scale_qps_per_replica);
-  scale["points"] = Json(std::move(scale_points));
-  scale["ratio"] = Json(scale_ratio);
-  scale["gate_ratio"] = Json(scale_gate_ratio);
-  scale["ok"] = Json(scale_gate_ok);
 
   JsonObject contract;
   contract["checked"] = Json(static_cast<std::int64_t>(evals.size()));
@@ -563,7 +595,9 @@ int main(int argc, char** argv) {
   root["event_core"] = Json(std::move(event_core));
   root["obs_overhead"] = Json(std::move(obs_overhead));
   root["obs_export"] = Json(std::move(obs_export));
-  root["scale"] = Json(std::move(scale));
+  for (std::size_t c = 0; c < scale_curves.size(); ++c) {
+    root[scale_curves[c].name] = std::move(scale_sections[c]);
+  }
   root["contract"] = Json(std::move(contract));
   root["checksum_sink"] = Json(sink);  // Keeps the timed loops honest.
 
@@ -589,13 +623,15 @@ int main(int argc, char** argv) {
                  obs_ratio, obs_off_ms, obs_on_ms);
     return 1;
   }
-  if (!scale_gate_ok) {
-    std::fprintf(stderr,
-                 "FAIL: %d-replica ns/request is %.2fx the %d-replica "
-                 "figure, above the %.1fx scale gate\n",
-                 scale_replicas.back(), scale_ratio, scale_replicas.front(),
-                 scale_gate_ratio);
-    return 1;
+  for (const ScaleCurve& curve : scale_curves) {
+    if (!curve.ok) {
+      std::fprintf(stderr,
+                   "FAIL: %s: %d-replica ns/request is %.2fx the %d-replica "
+                   "figure, above the %.1fx scale gate\n",
+                   curve.name.c_str(), scale_replicas.back(), curve.ratio,
+                   scale_replicas.front(), scale_gate_ratio);
+      return 1;
+    }
   }
   if (!event_gate_ok) {
     std::fprintf(stderr,

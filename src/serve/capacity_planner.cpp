@@ -13,18 +13,6 @@
 namespace nsflow::serve {
 namespace {
 
-/// Erlang C — probability an arriving job waits in an M/M/k queue offered
-/// `a` erlangs. Computed through the numerically stable Erlang B recursion
-/// B(n) = a·B(n−1) / (n + a·B(n−1)). Requires a < k.
-double ErlangC(int k, double a) {
-  double b = 1.0;
-  for (int n = 1; n <= k; ++n) {
-    b = a * b / (static_cast<double>(n) + a * b);
-  }
-  const double rho = a / static_cast<double>(k);
-  return b / (1.0 - rho * (1.0 - b));
-}
-
 /// Smallest n with P(Poisson(mean) <= n) >= q.
 int PoissonQuantile(double mean, double q) {
   double pmf = std::exp(-mean);
@@ -38,74 +26,45 @@ int PoissonQuantile(double mean, double q) {
   return n;
 }
 
-/// The queueing-bound evaluation for one replica group under batch cap `c`
-/// (see the header comment for the model and docs/PLANNING.md for its
-/// assumptions).
-struct QueueEval {
-  bool stable = false;      // rho under the utilization cap.
-  int planned_batch = 1;    // b*.
-  double batch_service_s = 0.0;
-  double utilization = 0.0;
-  double p_wait = 0.0;      // Erlang C.
-  double forming_s = 0.0;   // Forming-delay bound added to both quantiles.
-  double wait_p50_s = 0.0;
-  double wait_p99_s = 0.0;
-  double p50_s = 0.0;
-  double p99_s = 0.0;
+/// The replica-count-independent half of the queueing bound for one
+/// replica group under batch cap `c` (see the header comment for the model
+/// and docs/PLANNING.md for its assumptions): computed once per (design,
+/// cap), then shared by every k the search tries.
+struct GroupShape {
+  int planned_batch = 1;         // b*.
+  double batch_service_s = 0.0;  // S(b*).
+  double erlangs = 0.0;          // Offered load a = (lambda / b*) S(b*).
+  double forming_s = 0.0;        // Forming-delay bound on both quantiles.
+  double residence_p50_s = 0.0;  // Batch-tail residence per quantile.
+  double residence_p99_s = 0.0;
 };
 
-QueueEval EvaluateQueue(double lambda_rps, int k,
-                        const arch::ServingModel& model, std::int64_t cap,
-                        double max_wait_s, double max_utilization) {
-  QueueEval eval;
+GroupShape ShapeGroup(double lambda_rps, const arch::ServingModel& model,
+                      std::int64_t cap, double max_wait_s) {
+  GroupShape shape;
   // The former coalesces roughly one deadline window of arrivals per
   // launch, bounded by the lane's size cap.
   const auto batch = static_cast<std::int64_t>(
       std::clamp(std::ceil(lambda_rps * max_wait_s), 1.0,
                  static_cast<double>(cap)));
-  eval.planned_batch = static_cast<int>(batch);
-  eval.batch_service_s = model.BatchSeconds(eval.planned_batch);
+  shape.planned_batch = static_cast<int>(batch);
+  shape.batch_service_s = model.BatchSeconds(shape.planned_batch);
 
   // Jobs are whole batches: rate lambda/b*, deterministic service S(b*).
   const double job_rate = lambda_rps / static_cast<double>(batch);
-  const double a = job_rate * eval.batch_service_s;  // Offered erlangs.
-  eval.utilization = a / static_cast<double>(k);
-  eval.stable = eval.utilization <= max_utilization;
+  shape.erlangs = job_rate * shape.batch_service_s;
 
   // Forming delay: a cap-1 lane closes every batch at its own arrival and
   // pays nothing. In the deadline-close regime a thin batch's requests
   // wait out the full max_wait deadline; once size closes dominate (b* at
   // the cap), a batch fills in cap/lambda.
   if (cap == 1) {
-    eval.forming_s = 0.0;
+    shape.forming_s = 0.0;
   } else {
-    eval.forming_s =
+    shape.forming_s =
         batch >= cap
             ? std::min(max_wait_s, static_cast<double>(cap) / lambda_rps)
             : max_wait_s;
-  }
-
-  if (eval.utilization < 1.0) {
-    eval.p_wait = ErlangC(k, a);
-    // M/M/k wait tail P(W > t) = C · e^{−θt}, θ = (k − a)/S. Service is
-    // deterministic and batch-quantized here, so whenever tail waits occur
-    // at all (P_wait above the quantile), the quantile request additionally
-    // sits behind one full batch in service — waits come in service-sized
-    // quanta. The exponential term covers the queue ahead of that batch.
-    const double theta = (static_cast<double>(k) - a) / eval.batch_service_s;
-    eval.wait_p99_s =
-        eval.p_wait > 0.01
-            ? std::log(eval.p_wait / 0.01) / theta + eval.batch_service_s
-            : 0.0;
-    eval.wait_p50_s =
-        eval.p_wait > 0.5
-            ? std::log(eval.p_wait / 0.5) / theta + eval.batch_service_s
-            : 0.0;
-  } else {
-    // Unstable queue: report divergence, not numbers.
-    eval.p_wait = 1.0;
-    eval.wait_p99_s = std::numeric_limits<double>::infinity();
-    eval.wait_p50_s = std::numeric_limits<double>::infinity();
   }
 
   // Batch-tail residence: the quantile request rides the batch its
@@ -122,13 +81,59 @@ QueueEval EvaluateQueue(double lambda_rps, int k,
         std::min(cap, 1 + static_cast<std::int64_t>(PoissonQuantile(
                           lambda_rps * span_s, q))));
   };
-  const double residence_p99_s = model.BatchSeconds(
-      tail_batch(0.99, max_wait_s + eval.batch_service_s));
-  const double residence_p50_s =
-      model.BatchSeconds(tail_batch(0.5, max_wait_s));
+  shape.residence_p99_s = model.BatchSeconds(
+      tail_batch(0.99, max_wait_s + shape.batch_service_s));
+  shape.residence_p50_s = model.BatchSeconds(tail_batch(0.5, max_wait_s));
+  return shape;
+}
 
-  eval.p50_s = eval.forming_s + eval.wait_p50_s + residence_p50_s;
-  eval.p99_s = eval.forming_s + eval.wait_p99_s + residence_p99_s;
+/// The queueing bound for a group of `shape` at k replicas.
+struct QueueEval {
+  bool stable = false;      // rho under the utilization cap.
+  double utilization = 0.0;
+  double wait_p50_s = 0.0;
+  double wait_p99_s = 0.0;
+  double p50_s = 0.0;
+  double p99_s = 0.0;
+};
+
+/// `erlang_b` is the Erlang B blocking probability B(k) at the shape's
+/// offered load, which the caller carries across k through the numerically
+/// stable recursion B(n) = a·B(n−1) / (n + a·B(n−1)), B(0) = 1: one step
+/// per k, so a search over k = 1…K costs O(K).
+QueueEval EvaluateQueue(const GroupShape& shape, int k, double erlang_b,
+                        double max_utilization) {
+  QueueEval eval;
+  const double a = shape.erlangs;
+  eval.utilization = a / static_cast<double>(k);
+  eval.stable = eval.utilization <= max_utilization;
+
+  if (eval.utilization < 1.0) {
+    // Erlang C, the probability an arriving job waits in an M/M/k queue,
+    // from Erlang B at the same k.
+    const double p_wait =
+        erlang_b / (1.0 - eval.utilization * (1.0 - erlang_b));
+    // M/M/k wait tail P(W > t) = C · e^{−θt}, θ = (k − a)/S. Service is
+    // deterministic and batch-quantized here, so whenever tail waits occur
+    // at all (P_wait above the quantile), the quantile request additionally
+    // sits behind one full batch in service — waits come in service-sized
+    // quanta. The exponential term covers the queue ahead of that batch.
+    const double theta = (static_cast<double>(k) - a) / shape.batch_service_s;
+    eval.wait_p99_s =
+        p_wait > 0.01
+            ? std::log(p_wait / 0.01) / theta + shape.batch_service_s
+            : 0.0;
+    eval.wait_p50_s =
+        p_wait > 0.5 ? std::log(p_wait / 0.5) / theta + shape.batch_service_s
+                     : 0.0;
+  } else {
+    // Unstable queue: report divergence, not numbers.
+    eval.wait_p99_s = std::numeric_limits<double>::infinity();
+    eval.wait_p50_s = std::numeric_limits<double>::infinity();
+  }
+
+  eval.p50_s = shape.forming_s + eval.wait_p50_s + shape.residence_p50_s;
+  eval.p99_s = shape.forming_s + eval.wait_p99_s + shape.residence_p99_s;
   return eval;
 }
 
@@ -346,7 +351,7 @@ PoolPlan PlanCapacity(const WorkloadRegistry& registry,
       const arch::ServingModel& model = swept.models[p];
 
       const auto fill = [&](GroupPlan& group, std::int64_t cap, int k,
-                            const QueueEval& eval) {
+                            const GroupShape& shape, const QueueEval& eval) {
         group.workload = entry.workload;
         group.workload_id = id;
         group.design = point.design;
@@ -355,9 +360,9 @@ PoolPlan PlanCapacity(const WorkloadRegistry& registry,
         group.replicas = k;
         group.lambda_rps = lambda;
         group.batch_cap = cap;
-        group.planned_batch = eval.planned_batch;
+        group.planned_batch = shape.planned_batch;
         group.service_s = model.BatchSeconds(1);
-        group.batch_service_s = eval.batch_service_s;
+        group.batch_service_s = shape.batch_service_s;
         group.utilization = eval.utilization;
         group.wait_p99_s = eval.wait_p99_s;
         group.predicted_p50_s = eval.p50_s;
@@ -375,14 +380,18 @@ PoolPlan PlanCapacity(const WorkloadRegistry& registry,
       }
       caps.push_back(options.max_batch);
       for (const std::int64_t cap : caps) {
+        const GroupShape shape =
+            ShapeGroup(lambda, model, cap, options.max_wait_s);
+        double erlang_b = 1.0;  // B(0); advanced to B(k) at each k.
         for (int k = 1; k <= options.max_replicas_per_workload; ++k) {
+          erlang_b = shape.erlangs * erlang_b /
+                     (static_cast<double>(k) + shape.erlangs * erlang_b);
           const QueueEval eval =
-              EvaluateQueue(lambda, k, model, cap, options.max_wait_s,
-                            options.max_utilization);
+              EvaluateQueue(shape, k, erlang_b, options.max_utilization);
           if (k == options.max_replicas_per_workload && eval.stable &&
               (!have_fallback || eval.p99_s < fallback.predicted_p99_s)) {
             // Best-effort answer when no configuration meets the SLO.
-            fill(fallback, cap, k, eval);
+            fill(fallback, cap, k, shape, eval);
             have_fallback = true;
           }
           if (eval.stable && eval.p99_s <= options.p99_slo_s) {
@@ -393,7 +402,7 @@ PoolPlan PlanCapacity(const WorkloadRegistry& registry,
             if (cost < best_cost ||
                 (cost == best_cost && eval.p99_s < best.predicted_p99_s)) {
               best_cost = cost;
-              fill(best, cap, k, eval);
+              fill(best, cap, k, shape, eval);
             }
             break;
           }

@@ -198,6 +198,7 @@ void ServerPool::AppendReplica(const ReplicaSpec& spec, double ready_s) {
   dead_.emplace_back();
   derates_.emplace_back();
   IndexReplica(size() - 1, /*insert=*/true);
+  census_ = Census{};
 }
 
 bool ServerPool::IsTunedFor(WorkloadId tuned_for, WorkloadId workload) const {
@@ -519,6 +520,7 @@ void ServerPool::DrainReplica(int replica, double now_s) {
   Reindex(replica, [&] { draining_[r] = true; });
   // In-flight work finishes; an idle replica retires at the decision time.
   retired_at_[r] = std::max(now_s, free_at_[r]);
+  census_ = Census{};
 }
 
 int ServerPool::DrainAll(double now_s) {
@@ -533,6 +535,7 @@ int ServerPool::DrainAll(double now_s) {
     retired_at_[i] = std::max(now_s, free_at_[i]);
     ++drained;
   }
+  census_ = Census{};
   return drained;
 }
 
@@ -570,29 +573,47 @@ double ServerPool::RetiredAt(int replica) const {
   return retired_at_[static_cast<std::size_t>(replica)];
 }
 
-int ServerPool::ActiveReplicas(double t) const {
-  int active = 0;
-  for (int r = 0; r < size(); ++r) {
-    const auto i = static_cast<std::size_t>(r);
-    if (added_at_[i] <= t && t < retired_at_[i] && !Failed(r, t)) {
-      ++active;
+const ServerPool::Census& ServerPool::CensusAt(double t) const {
+  if (census_.from_s <= t && t < census_.until_s) {
+    return census_;
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Census census{-kInf, kInf, 0, 0};
+  // Every comparison below is `instant <= t` or `t < instant` against one
+  // of these instants, so none flips before the next one or after the
+  // previous one: the nearest two bound the window.
+  const auto bound = [&](double instant) {
+    if (instant <= t) {
+      census.from_s = std::max(census.from_s, instant);
+    } else {
+      census.until_s = std::min(census.until_s, instant);
+    }
+  };
+  for (std::size_t i = 0; i < added_at_.size(); ++i) {
+    bound(added_at_[i]);
+    bound(retired_at_[i]);
+    bool failed = false;
+    for (const DeadSpan& span : dead_[i]) {
+      bound(span.fail_s);
+      bound(span.recover_s);
+      failed = failed || (t >= span.fail_s && t < span.recover_s);
+    }
+    if (added_at_[i] <= t && t < retired_at_[i]) {
+      ++(failed ? census.dark : census.live);
     }
   }
-  return active;
+  census_ = census;
+  return census_;
 }
 
+int ServerPool::ActiveReplicas(double t) const { return CensusAt(t).live; }
+
 double ServerPool::LiveFraction(double t) const {
-  int live = 0;
-  int dark = 0;
-  for (int r = 0; r < size(); ++r) {
-    const auto i = static_cast<std::size_t>(r);
-    if (added_at_[i] <= t && t < retired_at_[i]) {
-      ++(Failed(r, t) ? dark : live);
-    }
-  }
-  return live + dark > 0
-             ? static_cast<double>(live) / static_cast<double>(live + dark)
-             : 1.0;
+  const Census& census = CensusAt(t);
+  const int provisioned = census.live + census.dark;
+  return provisioned > 0 ? static_cast<double>(census.live) /
+                               static_cast<double>(provisioned)
+                         : 1.0;
 }
 
 double ServerPool::ReplicaSeconds(double horizon_s) const {
@@ -642,6 +663,7 @@ void ServerPool::FailReplica(int replica, double fail_s, double recover_s,
                   "replica able to serve it");
   }
   dead_[r].push_back(DeadSpan{fail_s, recover_s, recover_s + warmup_s});
+  census_ = Census{};
   // The schedule jumps past the outage: dispatch's argmin then routes
   // around the dark replica (or correctly books post-recovery work on it
   // when every survivor is busier).

@@ -38,6 +38,7 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -228,11 +229,12 @@ class ServerPool {
   /// When `replica` retired (+inf while active).
   double RetiredAt(int replica) const;
   /// Replicas provisioned at virtual time `t` (added and not yet retired)
-  /// and not dark at `t`.
+  /// and not dark at `t`. O(1) while `t` stays inside the cached census
+  /// window (see CensusAt).
   int ActiveReplicas(double t) const;
   /// Live share of the replicas provisioned at `t`: live / (live + dark),
-  /// counted in one pass — the admission controller's overload signal
-  /// (docs/ADMISSION.md). 1 when nothing is provisioned.
+  /// from the same census as ActiveReplicas — the admission controller's
+  /// overload signal (docs/ADMISSION.md). 1 when nothing is provisioned.
   double LiveFraction(double t) const;
   /// FPGA time the pool consumed over [0, horizon_s): the integral of the
   /// active-replica count — the elastic-vs-static efficiency metric
@@ -366,6 +368,23 @@ class ServerPool {
   /// four fields goes through here, so the index cannot go stale.
   template <typename Change>
   void Reindex(int replica, Change&& change);
+  /// The provisioned replicas at `t`, split live / dark, together with the
+  /// half-open window [from_s, until_s) between the nearest added, retired,
+  /// fail and recover instants on either side of `t` — inside it no
+  /// replica's state changes, so the counts hold for every instant in it.
+  struct Census {
+    // Default: the empty window, so the next query recounts.
+    double from_s = std::numeric_limits<double>::infinity();
+    double until_s = -std::numeric_limits<double>::infinity();
+    int live = 0;
+    int dark = 0;
+  };
+  /// The census at `t`: the cached one while `t` stays in its window, else
+  /// a recount over the pool (the same comparisons the per-replica health
+  /// queries make, so the counts are exact). The four writers of the
+  /// fields it reads — AppendReplica, DrainReplica, DrainAll, FailReplica —
+  /// reset the cache to the empty window.
+  const Census& CensusAt(double t) const;
   /// Insert `replica` into (or erase it from) the index sets its current
   /// state files it under: none while draining, else one per-workload and
   /// one per-(workload, node) set for each workload it serves.
@@ -431,6 +450,9 @@ class ServerPool {
   std::vector<std::vector<DeadSpan>> dead_;          // Per replica.
   std::vector<std::vector<DerateSpan>> derates_;     // Per replica.
   bool has_derates_ = false;
+  /// Last census (CensusAt). Single-threaded state, like the selection
+  /// index: one thread drives the pool.
+  mutable Census census_;
   std::int64_t dispatched_batches_ = 0;
   int worker_threads_;
 

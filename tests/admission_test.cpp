@@ -6,12 +6,17 @@
 // once), fixed-seed bit-determinism of admission-controlled runs, and the
 // flash-crowd x admission composition pin — superimposed flash arrivals
 // route through the same per-tenant accounting as base traffic — and the
-// live-replica fraction the overload stage reads (docs/ADMISSION.md).
+// live-replica fraction the overload stage reads (docs/ADMISSION.md),
+// including its cached pool census against a brute-force recount.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -475,6 +480,135 @@ TEST(AdmissionTest, OneDarkReplicaOfFourStaysAtTheLiveThreshold) {
                                                  options);
   ASSERT_EQ(two_dark.admission.size(), 2u);
   EXPECT_GT(two_dark.admission[1].shed_overload, 0);
+}
+
+/// (live, dark) among the replicas provisioned at `t`, recounted from the
+/// pool's per-replica accessors.
+std::pair<int, int> BruteForceCensus(const ServerPool& pool, double t) {
+  int live = 0;
+  int dark = 0;
+  for (int r = 0; r < pool.size(); ++r) {
+    if (pool.AddedAt(r) <= t && t < pool.RetiredAt(r)) {
+      ++(pool.Failed(r, t) ? dark : live);
+    }
+  }
+  return {live, dark};
+}
+
+TEST(AdmissionTest, CensusMatchesBruteForceRecountAcrossPoolChanges) {
+  // The census caches one window between state-change instants; every
+  // writer must reset it. Random adds (ready in the future), drains
+  // (retiring at a dispatched busy horizon), failures with recovery and a
+  // final DrainAll, each made while the cache holds the window around
+  // `now` and followed by queries at every boundary instant and one ULP
+  // either side of it: forwards from `now` first, so a stale window is
+  // read before anything recounts, then backwards over the whole range.
+  WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  registry.RegisterBuiltin("resnet18");
+  const std::vector<ReplicaSpec> base = registry.ReplicaSpecs(4, true);
+
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::mt19937_64 rng(seed);
+    const auto pick = [&rng](int n) {
+      return std::uniform_int_distribution<int>(0, n - 1)(rng);
+    };
+    ServerPool pool(base, registry.Dataflows(), 1);
+    std::vector<double> instants = {0.0};  // Fail/recover instants too.
+    std::int64_t request_id = 0;
+    double now = 0.0;
+    int applied[4] = {0, 0, 0, 0};  // Per operation kind, refusals aside.
+
+    const auto check = [&](const std::string& where, double from) {
+      std::vector<double> boundaries = instants;
+      for (int r = 0; r < pool.size(); ++r) {
+        boundaries.push_back(pool.AddedAt(r));
+        boundaries.push_back(pool.RetiredAt(r));
+      }
+      std::vector<double> queries = {-kInf, kInf};
+      for (const double b : boundaries) {
+        queries.push_back(std::nextafter(b, -kInf));
+        queries.push_back(b);
+        queries.push_back(std::nextafter(b, kInf));
+      }
+      std::sort(queries.begin(), queries.end());
+      std::vector<double> sweep(
+          std::lower_bound(queries.begin(), queries.end(), from),
+          queries.end());
+      sweep.insert(sweep.end(), queries.rbegin(), queries.rend());
+      for (const double t : sweep) {
+        const auto [live, dark] = BruteForceCensus(pool, t);
+        const double fraction =
+            live + dark > 0 ? static_cast<double>(live) / (live + dark) : 1.0;
+        EXPECT_EQ(pool.ActiveReplicas(t), live) << where << " t=" << t;
+        EXPECT_EQ(pool.LiveFraction(t), fraction) << where << " t=" << t;
+      }
+    };
+
+    for (int step = 0; step < 120; ++step) {
+      now += 0.01 * pick(5);
+      const std::string where = "seed " + std::to_string(seed) + " step " +
+                                std::to_string(step);
+      // Warm the cache on a window the step below may split.
+      EXPECT_EQ(pool.ActiveReplicas(now), BruteForceCensus(pool, now).first)
+          << where;
+      const int replica = pick(pool.size());
+      // Refused operations (orphaning a workload, failing a dark replica)
+      // change nothing, so they are tried, not avoided.
+      const int op = pick(4);
+      try {
+        switch (op) {
+          case 0:
+            if (pool.size() >= 24) {
+              continue;
+            }
+            pool.AddReplica(base[static_cast<std::size_t>(pick(4))],
+                            now + 0.01 * pick(10));
+            break;
+          case 1: {
+            const double fail_s = now + 0.01 * pick(5);
+            const double recover_s = fail_s + 0.01 * (1 + pick(10));
+            pool.FailReplica(replica, fail_s, recover_s, 0.01 * pick(3));
+            instants.push_back(fail_s);
+            instants.push_back(recover_s);
+            break;
+          }
+          case 2:
+            pool.DrainReplica(replica, now);
+            break;
+          default: {
+            // Push a busy horizon out so a later drain retires in the
+            // future.
+            Batch batch;
+            batch.workload = pick(2);
+            batch.formed_s = now;
+            const int size = 1 + pick(8);
+            for (int i = 0; i < size; ++i) {
+              batch.requests.push_back(
+                  Request{request_id++, now, batch.workload});
+            }
+            pool.Dispatch(batch, nullptr);
+            break;
+          }
+        }
+        ++applied[op];
+      } catch (const Error&) {
+      }
+      check(where, now);
+      if (::testing::Test::HasFailure()) {
+        return;  // One divergence is enough; the rest would cascade.
+      }
+    }
+    pool.ActiveReplicas(now);  // Warm, then drain inside the window.
+    EXPECT_GT(pool.DrainAll(now + 0.01), 0);
+    check("seed " + std::to_string(seed) + " after DrainAll", now);
+    for (int op = 0; op < 4; ++op) {
+      EXPECT_GT(applied[op], 0) << "seed " << seed << " op " << op;
+    }
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
+  }
 }
 
 }  // namespace

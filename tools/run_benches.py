@@ -31,12 +31,14 @@ regression. Metrics come in two classes:
 Improvements never fail the gate. `--delta-out` writes the full
 per-metric comparison as JSON (the CI bench-smoke job uploads it).
 
-Scale gate: BENCH_serve.json's `scale` section records host ns/request at
+Scale gates: BENCH_serve.json's `scale` section records host ns/request at
 16, 64, 256 and 1024 replicas under the same load per replica, and their
-1024/16 ratio from one process. The ratio is gated at the artifact's
-`gate_ratio` (1.5) on every run, whatever the baseline says; under
-`--compare` it also rides in the delta report, and an artifact without the
-section fails as missing.
+1024/16 ratio from one process; `scale_admission` is the same curve with
+guard admission on, so every arrival also reads the pool's live fraction.
+Each ratio is gated at its artifact's `gate_ratio` (1.5) on every run,
+whatever the baseline says; under `--compare` both ride in the delta
+report, and an artifact without a section the baseline has fails as
+missing.
 
 Usage:
   tools/run_benches.py [--build-dir build] [--out BENCH_serve.json]
@@ -55,6 +57,14 @@ import json
 import pathlib
 import subprocess
 import sys
+
+
+def print_ledger(section):
+    """One line per SLA tier of a gate row's conservation ledger."""
+    for tier, row in section.get("per_tier", {}).items():
+        print(f"  {tier}: offered {row['offered']}, admitted "
+              f"{row['admitted']}, shed {row['shed']}, expired "
+              f"{row['expired']}, completed {row['completed']}")
 
 
 def run(cmd, **kwargs):
@@ -85,6 +95,11 @@ def load_artifact(path):
 
 
 # ---------------------------------------------------------------- comparison
+
+# The replica scale curves, each gated on its 1024/16 ns/request ratio:
+# admission off, then guard admission on.
+SCALE_SECTIONS = ("scale", "scale_admission")
+
 
 def collect_metrics(serve_report, plan_report):
     """(name, value, better, cls) rows for the perf-trajectory gate.
@@ -122,13 +137,15 @@ def collect_metrics(serve_report, plan_report):
                 ("obs_export.export_over_on", obs_export["export_over_on"],
                  "lower", "wall"),
             ]
-        scale = serve_report.get("scale")
-        if scale is not None:
-            metrics += [
-                ("scale.ratio", scale["ratio"], "lower", "wall"),
-                ("scale.ns_per_request_1024",
-                 scale["points"][-1]["ns_per_request"], "lower", "wall"),
-            ]
+        for section in SCALE_SECTIONS:
+            scale = serve_report.get(section)
+            if scale is not None:
+                metrics += [
+                    (f"{section}.ratio", scale["ratio"], "lower", "wall"),
+                    (f"{section}.ns_per_request_1024",
+                     scale["points"][-1]["ns_per_request"], "lower",
+                     "wall"),
+                ]
         event_core = serve_report.get("event_core")
         if event_core is not None:
             metrics += [
@@ -330,15 +347,17 @@ def main():
         print(f"chrome export: {obs_export['records']} records, "
               f"{obs_export['mb']:.2f} MB at {obs_export['mb_per_s']:.0f} "
               f"MB/s ({obs_export['export_over_on']:.2f}x the traced run)")
-    scale = report.get("scale")
-    if scale is not None:
+    for section in SCALE_SECTIONS:
+        scale = report.get(section)
+        if scale is None:
+            continue
         points = ", ".join(f"{p['replicas']}: {p['ns_per_request']:.0f}"
                            for p in scale["points"])
-        print(f"scale: ns/request by replicas {points}; ratio "
+        print(f"{section}: ns/request by replicas {points}; ratio "
               f"{scale['ratio']:.2f}x (gate {scale['gate_ratio']:.1f}x)")
         if not scale["ok"] or scale["ratio"] > scale["gate_ratio"]:
-            print("error: host ns/request grows with the replica count "
-                  "beyond the scale gate", file=sys.stderr)
+            print(f"error: host ns/request grows with the replica count "
+                  f"beyond the {section} gate", file=sys.stderr)
             return 1
     event_core = report.get("event_core")
     if event_core is not None:
@@ -396,6 +415,7 @@ def main():
               f"{100 * (adversity['replica_seconds_overhead'] - 1):.1f}% "
               f"replica-seconds overhead (gate "
               f"{100 * (adversity['overhead_gate'] - 1):.0f}%)")
+        print_ledger(adversity)
     admission = plan_report.get("admission")
     if admission is not None:
         print(f"admission: {admission['policy']} held critical p99 "
@@ -405,6 +425,7 @@ def main():
               f"shedding {admission['batch_shed']} batch-tier request(s), "
               f"{admission['protected_tier_losses']} protected-tier "
               f"loss(es)")
+        print_ledger(admission)
     cluster = plan_report.get("cluster")
     if cluster is not None:
         if cluster["invariant_violations"] != 0:
@@ -418,10 +439,7 @@ def main():
               f"{cluster['adversity']}, {cluster['remote_batches']} remote "
               f"batch(es), {cluster['bytes_moved'] / 1e6:.1f} MB moved, "
               f"{cluster['network_s'] * 1e3:.1f} ms modeled network")
-        for tier, row in cluster["per_tier"].items():
-            print(f"  {tier}: offered {row['offered']}, admitted "
-                  f"{row['admitted']}, shed {row['shed']}, expired "
-                  f"{row['expired']}, completed {row['completed']}")
+        print_ledger(cluster)
 
     if args.full:
         for bench in ("bench_serve_throughput", "bench_serve_multitenant",
