@@ -42,7 +42,11 @@
 // same process. Its `scale_admission` twin repeats the curve with guard
 // admission on (mlp critical, resnet18 batch), so the per-offer live
 // fraction read (docs/PERFORMANCE.md, "Control plane") is gated the same
-// way.
+// way. At the 1024-replica point of `scale` it also records
+// `summarize_share`: the wall time of ServeStats::Summarize over a
+// population shaped like that run's (its completions per workload, each
+// workload's latencies over its p50..max), divided by the run's own wall
+// time (docs/PERFORMANCE.md, "Run summary"); tools/run_benches.py gates it.
 //
 // Usage: bench_serve_fastpath [--out BENCH_serve.json] [--smoke]
 //                             [--trace-out trace.json]
@@ -58,10 +62,12 @@
 
 #include "arch/fastpath.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "obs/observability.h"
 #include "runtime/host_runtime.h"
 #include "serve/engine.h"
 #include "serve/event_core.h"
+#include "serve/serve_stats.h"
 #include "serve/server_pool.h"
 #include "serve/workload_registry.h"
 
@@ -458,6 +464,8 @@ int main(int argc, char** argv) {
   };
   std::vector<ScaleCurve> scale_curves = {{"scale", false},
                                           {"scale_admission", true}};
+  // Per-workload slices of the admission-off 1024-replica run.
+  std::vector<serve::WorkloadSummary> summarize_slices;
   for (ScaleCurve& curve : scale_curves) {
     curve.ns.assign(scale_replicas.size(), 0.0);
     curve.generated.assign(scale_replicas.size(), 0);
@@ -482,6 +490,9 @@ int main(int argc, char** argv) {
                           static_cast<double>(run.generated_requests);
         sink += static_cast<double>(run.summary.completed);
         curve.generated[i] = run.generated_requests;
+        if (!curve.admission && i + 1 == scale_replicas.size()) {
+          summarize_slices = run.summary.per_workload;
+        }
         if (round == 0 || ns < curve.ns[i]) {
           curve.ns[i] = ns;
         }
@@ -499,6 +510,48 @@ int main(int argc, char** argv) {
                 scale_replicas.front(), curve.ratio, scale_gate_ratio,
                 curve.ok ? "OK" : "FAIL");
   }
+
+  // ------------------------------------------------------ run summary
+  // The summary must stay a small share of the run it summarizes. Time
+  // Summarize (best of the scale rounds) over a population shaped like the
+  // 1024-replica run's — its completions per workload, each workload's
+  // latencies spread uniformly over that workload's p50..max — and divide
+  // by that run's best wall time.
+  const double summarize_gate = 0.15;
+  const double summarize_horizon_s =
+      scale_requests / (scale_qps_per_replica * scale_replicas.back());
+  serve::ServeStats summarize_stats(
+      scale_replicas.back(), static_cast<int>(summarize_slices.size()));
+  Rng summarize_rng(7);
+  for (std::size_t w = 0; w < summarize_slices.size(); ++w) {
+    const serve::WorkloadSummary& slice = summarize_slices[w];
+    for (std::int64_t k = 0; k < slice.completed; ++k) {
+      const double arrival = summarize_rng.Uniform(0.0, summarize_horizon_s);
+      const double latency =
+          summarize_rng.Uniform(slice.p50_ms, slice.max_ms) / 1e3;
+      summarize_stats.RecordRequest(static_cast<serve::WorkloadId>(w),
+                                    arrival, arrival + latency);
+    }
+  }
+  double summarize_ms = 0.0;
+  for (int round = 0; round < scale_rounds; ++round) {
+    const auto start = Clock::now();
+    const serve::StatsSummary summary =
+        summarize_stats.Summarize(0.0, summarize_horizon_s);
+    const double ms = ElapsedNs(start) / 1e6;
+    sink += summary.p99_ms;
+    if (round == 0 || ms < summarize_ms) {
+      summarize_ms = ms;
+    }
+  }
+  const double scale_run_ms =
+      scale_curves.front().ns.back() *
+      static_cast<double>(scale_curves.front().generated.back()) / 1e6;
+  const double summarize_share = summarize_ms / scale_run_ms;
+  std::printf("summarize: %.2f ms over a %.1f ms %d-replica run -> share "
+              "%.3f (gate %.2f)\n",
+              summarize_ms, scale_run_ms, scale_replicas.back(),
+              summarize_share, summarize_gate);
 
   // ------------------------------------------------------------ emit JSON
   JsonObject cold_cache;
@@ -579,6 +632,11 @@ int main(int argc, char** argv) {
     section["ratio"] = Json(curve.ratio);
     section["gate_ratio"] = Json(scale_gate_ratio);
     section["ok"] = Json(curve.ok);
+    if (!curve.admission) {
+      section["summarize_ms"] = Json(summarize_ms);
+      section["summarize_share"] = Json(summarize_share);
+      section["summarize_gate"] = Json(summarize_gate);
+    }
     scale_sections.push_back(Json(std::move(section)));
   }
 

@@ -229,7 +229,6 @@ struct PipelineContext {
         cluster->AttachMetrics(&obs->metrics);
       }
     }
-    stats.Reserve(static_cast<std::int64_t>(arrivals.size()));
 
     // Parallel cycle-model warm-up, restricted to workloads that actually
     // have traffic — idle tenants stay lazily memoized (their unbatched
@@ -238,6 +237,7 @@ struct PipelineContext {
     for (const Request& request : arrivals) {
       ++generated[static_cast<std::size_t>(request.workload)];
     }
+    stats.Reserve(generated);
     // Warm each active lane only up to *its* batch cap — a cap-1 lane
     // never forms a batch its policy forbids, so pre-evaluating larger
     // sizes for it would be wasted cold-start work. Lanes sharing a cap

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <sstream>
 
 #include "common/error.h"
@@ -19,46 +18,49 @@ ServeStats::ServeStats(int replicas, int workloads) {
   replica_spans_.assign(
       static_cast<std::size_t>(replicas),
       {0.0, std::numeric_limits<double>::infinity()});
-  workload_names_.resize(static_cast<std::size_t>(workloads));
-  workload_arrivals_s_.resize(static_cast<std::size_t>(workloads));
+  workloads_.resize(static_cast<std::size_t>(workloads));
   for (int w = 0; w < workloads; ++w) {
-    workload_names_[static_cast<std::size_t>(w)] =
+    workloads_[static_cast<std::size_t>(w)].name =
         "workload " + std::to_string(w);
   }
-  workload_latencies_s_.resize(static_cast<std::size_t>(workloads));
-  workload_batches_.resize(static_cast<std::size_t>(workloads));
-  workload_tiers_.assign(static_cast<std::size_t>(workloads),
-                         SlaTier::kStandard);
+}
+
+void ServeStats::Reserve(const std::vector<std::int64_t>& per_workload) {
+  for (std::size_t w = 0; w < per_workload.size(); ++w) {
+    workloads_[Slot(static_cast<WorkloadId>(w))].latencies_s.reserve(
+        static_cast<std::size_t>(std::max<std::int64_t>(0, per_workload[w])));
+  }
 }
 
 void ServeStats::Reserve(std::int64_t expected_requests) {
-  if (expected_requests <= 0) {
-    return;
+  if (workloads_.size() == 1) {
+    Reserve(std::vector<std::int64_t>{expected_requests});
   }
-  const auto n = static_cast<std::size_t>(expected_requests);
-  latencies_s_.reserve(n);
-  arrivals_s_.reserve(n);
-  completions_s_.reserve(n);
-  arrival_stamps_.reserve(n);
+}
+
+std::size_t ServeStats::Slot(WorkloadId w) const {
+  NSF_CHECK_MSG(w >= 0 && w < static_cast<int>(workloads_.size()),
+                "workload index out of range");
+  return static_cast<std::size_t>(w);
 }
 
 void ServeStats::SetWorkloadName(WorkloadId w, std::string name) {
-  NSF_CHECK_MSG(w >= 0 && w < static_cast<int>(workload_names_.size()),
-                "workload index out of range");
-  workload_names_[static_cast<std::size_t>(w)] = std::move(name);
+  workloads_[Slot(w)].name = std::move(name);
 }
 
 void ServeStats::SetWorkloadTier(WorkloadId w, SlaTier tier) {
-  NSF_CHECK_MSG(w >= 0 && w < static_cast<int>(workload_tiers_.size()),
-                "workload index out of range");
-  workload_tiers_[static_cast<std::size_t>(w)] = tier;
+  workloads_[Slot(w)].tier = tier;
   tiers_set_ = true;
-  if (registry_ != nullptr) {
-    for (int t = 0; t < 3; ++t) {
-      tier_hists_[t] = registry_->GetHistogram(
-          std::string("serve.latency_s.") +
-          TierName(static_cast<SlaTier>(t)));
-    }
+  AttachTierHistograms();
+}
+
+void ServeStats::AttachTierHistograms() {
+  if (registry_ == nullptr || !tiers_set_) {
+    return;
+  }
+  for (int t = 0; t < 3; ++t) {
+    tier_hists_[t] = registry_->GetHistogram(
+        std::string("serve.latency_s.") + TierName(static_cast<SlaTier>(t)));
   }
 }
 
@@ -66,22 +68,20 @@ void ServeStats::RecordRequest(WorkloadId workload, double arrival_s,
                                double complete_s) {
   NSF_CHECK_MSG(complete_s >= arrival_s,
                 "completion cannot precede arrival");
-  NSF_CHECK_MSG(workload >= 0 &&
-                    workload < static_cast<int>(workload_latencies_s_.size()),
-                "workload index out of range");
-  arrivals_s_.push_back(arrival_s);
-  completions_s_.push_back(complete_s);
-  latencies_s_.push_back(complete_s - arrival_s);
-  workload_latencies_s_[static_cast<std::size_t>(workload)].push_back(
-      complete_s - arrival_s);
+  WorkloadRecord& record = workloads_[Slot(workload)];
+  const double latency_s = complete_s - arrival_s;
+  record.latencies_s.push_back(latency_s);
+  record.latency_sum_s += latency_s;
+  latency_sum_s_ += latency_s;
+  ++completed_;
+  last_completion_s_ = std::max(last_completion_s_, complete_s);
   if (latency_hist_ != nullptr) {
-    latency_hist_->Observe(complete_s - arrival_s);
+    latency_hist_->Observe(latency_s);
   }
   if (tiers_set_) {
-    obs::Histogram* hist = tier_hists_[static_cast<int>(
-        workload_tiers_[static_cast<std::size_t>(workload)])];
+    obs::Histogram* hist = tier_hists_[static_cast<int>(record.tier)];
     if (hist != nullptr) {
-      hist->Observe(complete_s - arrival_s);
+      hist->Observe(latency_s);
     }
   }
   if (completed_counter_ != nullptr) {
@@ -92,12 +92,12 @@ void ServeStats::RecordRequest(WorkloadId workload, double arrival_s,
 void ServeStats::RecordBatch(WorkloadId workload, std::int64_t size,
                              std::int64_t queue_depth) {
   NSF_CHECK_MSG(size >= 1, "batches are non-empty");
-  NSF_CHECK_MSG(workload >= 0 &&
-                    workload < static_cast<int>(workload_batches_.size()),
-                "workload index out of range");
-  batch_sizes_.push_back(size);
-  depth_samples_.push_back(std::max<std::int64_t>(0, queue_depth));
-  workload_batches_[static_cast<std::size_t>(workload)].push_back(size);
+  WorkloadRecord& record = workloads_[Slot(workload)];
+  ++record.batches;
+  record.batched_requests += size;
+  const std::int64_t depth = std::max<std::int64_t>(0, queue_depth);
+  depth_sum_ += depth;
+  max_depth_ = std::max(max_depth_, depth);
   if (batch_counter_ != nullptr) {
     batch_counter_->Increment();
   }
@@ -111,40 +111,18 @@ void ServeStats::RecordReplicaBusy(int index, double busy_s) {
 }
 
 void ServeStats::RecordArrival(WorkloadId workload, double arrival_s) {
-  NSF_CHECK_MSG(workload >= 0 &&
-                    workload <
-                        static_cast<int>(workload_arrivals_s_.size()),
-                "workload index out of range");
-  NSF_CHECK_MSG(arrival_stamps_.empty() ||
-                    arrival_s >= arrival_stamps_.back(),
+  std::vector<double>& stamps = workloads_[Slot(workload)].arrivals_s;
+  NSF_CHECK_MSG(arrival_s >= last_arrival_s_,
                 "arrivals must be recorded in time order");
-  arrival_stamps_.push_back(arrival_s);
-  workload_arrivals_s_[static_cast<std::size_t>(workload)].push_back(
-      arrival_s);
+  last_arrival_s_ = arrival_s;
+  stamps.push_back(arrival_s);
 }
-
-namespace {
-
-std::int64_t CountInWindow(const std::vector<double>& sorted, double t0,
-                           double t1) {
-  return std::lower_bound(sorted.begin(), sorted.end(), t1) -
-         std::lower_bound(sorted.begin(), sorted.end(), t0);
-}
-
-}  // namespace
 
 std::int64_t ServeStats::ArrivalsInWindow(WorkloadId workload, double t0,
                                           double t1) const {
-  NSF_CHECK_MSG(workload >= 0 &&
-                    workload <
-                        static_cast<int>(workload_arrivals_s_.size()),
-                "workload index out of range");
-  return CountInWindow(workload_arrivals_s_[static_cast<std::size_t>(workload)],
-                       t0, t1);
-}
-
-std::int64_t ServeStats::ArrivalsInWindow(double t0, double t1) const {
-  return CountInWindow(arrival_stamps_, t0, t1);
+  const std::vector<double>& stamps = workloads_[Slot(workload)].arrivals_s;
+  return std::lower_bound(stamps.begin(), stamps.end(), t1) -
+         std::lower_bound(stamps.begin(), stamps.end(), t0);
 }
 
 void ServeStats::RecordPoolEvent(PoolEvent event) {
@@ -168,16 +146,6 @@ void ServeStats::SetReplicaSpan(int index, double added_s,
   replica_spans_[static_cast<std::size_t>(index)] = {added_s, retired_s};
 }
 
-double ServeStats::Percentile(std::vector<double> values, double p) {
-  return PercentileInPlace(&values, p);
-}
-
-double ServeStats::PercentileInPlace(std::vector<double>* values, double p) {
-  NSF_CHECK(values != nullptr);
-  std::sort(values->begin(), values->end());
-  return PercentileSorted(*values, p);
-}
-
 void ServeStats::AttachMetrics(obs::MetricsRegistry* registry) {
   registry_ = registry;
   if (registry == nullptr) {
@@ -190,76 +158,104 @@ void ServeStats::AttachMetrics(obs::MetricsRegistry* registry) {
   latency_hist_ = registry->GetHistogram("serve.latency_s");
   completed_counter_ = registry->GetCounter("serve.completed");
   batch_counter_ = registry->GetCounter("serve.batches");
-  // Tier histograms only exist in tiered (admission) runs, so untiered
-  // runs keep a byte-identical metrics dump.
-  if (tiers_set_) {
-    for (int t = 0; t < 3; ++t) {
-      tier_hists_[t] = registry->GetHistogram(
-          std::string("serve.latency_s.") +
-          TierName(static_cast<SlaTier>(t)));
-    }
-  }
+  AttachTierHistograms();
 }
 
-double ServeStats::PercentileSorted(const std::vector<double>& sorted,
-                                    double p) {
-  if (sorted.empty()) {
+namespace {
+
+// Nearest-rank index: the smallest value with at least p% of the `n`
+// values at or below it sits at this position in ascending order.
+std::size_t RankIndex(std::size_t n, double p) {
+  NSF_CHECK_MSG(p >= 0.0 && p <= 100.0, "percentile must be in [0, 100]");
+  const double rank = std::ceil(p / 100.0 * static_cast<double>(n));
+  const std::size_t index = static_cast<std::size_t>(std::max(1.0, rank)) - 1;
+  return std::min(index, n - 1);
+}
+
+struct Quantiles {
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+  double max = 0.0;
+};
+
+// Nearest-rank p50/p95/p99 and the max of one population, by one
+// nth_element cascade that reorders `*values` (all zero when it is empty).
+// Selection returns the very element a full sort would put at each rank, so
+// the quantiles are bit-identical to reading a sorted copy. The ranks are
+// non-decreasing, and after each nth_element everything at or after the
+// selected position is >= it, so every later rank lies in that tail.
+Quantiles SelectQuantiles(std::vector<double>* values) {
+  Quantiles q;
+  if (values->empty()) {
+    return q;
+  }
+  // Selects rank `p` within [from, end), then narrows `from` to it. The
+  // value is read at once: the next step reorders [from, end).
+  auto from = values->begin();
+  auto select = [values, &from](double p) {
+    const auto nth = values->begin() + static_cast<std::ptrdiff_t>(
+                                           RankIndex(values->size(), p));
+    std::nth_element(from, nth, values->end());
+    from = nth;
+    return *nth;
+  };
+  q.p50 = select(50.0);
+  q.p95 = select(95.0);
+  q.p99 = select(99.0);
+  q.max = *std::max_element(from, values->end());
+  return q;
+}
+
+}  // namespace
+
+double ServeStats::Percentile(std::vector<double> values, double p) {
+  if (values.empty()) {
     return 0.0;
   }
-  NSF_CHECK_MSG(p >= 0.0 && p <= 100.0, "percentile must be in [0, 100]");
-  // Nearest-rank: smallest value with at least p% of the population at or
-  // below it.
-  const double rank = std::ceil(p / 100.0 * static_cast<double>(sorted.size()));
-  const std::size_t index =
-      static_cast<std::size_t>(std::max(1.0, rank)) - 1;
-  return sorted[std::min(index, sorted.size() - 1)];
+  const auto nth = values.begin() +
+                   static_cast<std::ptrdiff_t>(RankIndex(values.size(), p));
+  std::nth_element(values.begin(), nth, values.end());
+  return *nth;
 }
 
 StatsSummary ServeStats::Summarize(double offered_qps,
                                    double run_duration_s) const {
   StatsSummary s;
-  s.completed = completed();
-  s.batches = static_cast<std::int64_t>(batch_sizes_.size());
+  s.completed = completed_;
   s.offered_qps = offered_qps;
-  double last_completion = 0.0;
-  for (const double c : completions_s_) {
-    last_completion = std::max(last_completion, c);
-  }
-  s.horizon_s = std::max(run_duration_s, last_completion);
+  s.horizon_s = std::max(run_duration_s, last_completion_s_);
   if (s.horizon_s > 0.0 && s.completed > 0) {
     s.throughput_rps = static_cast<double>(s.completed) / s.horizon_s;
   }
 
-  // One sorted copy serves all three percentiles plus the max — not three
-  // copy-and-sort passes through Percentile(). The mean stays on the
-  // record-order vector: float summation is order-sensitive and the summary
-  // must be bit-identical to what the unsorted accumulation reports.
-  std::vector<double> sorted = latencies_s_;
-  std::sort(sorted.begin(), sorted.end());
-  s.p50_ms = PercentileSorted(sorted, 50.0) * 1e3;
-  s.p95_ms = PercentileSorted(sorted, 95.0) * 1e3;
-  s.p99_ms = PercentileSorted(sorted, 99.0) * 1e3;
-  if (!sorted.empty()) {
-    s.mean_ms = std::accumulate(latencies_s_.begin(), latencies_s_.end(), 0.0) /
-                static_cast<double>(latencies_s_.size()) * 1e3;
-    s.max_ms = sorted.back() * 1e3;
+  // One scratch buffer serves every population: the aggregate (all
+  // workloads concatenated), each workload slice, and each tier slice.
+  // Means divide record-order running sums, which equal std::accumulate
+  // over the record-order population bit for bit.
+  std::vector<double> scratch;
+  scratch.reserve(static_cast<std::size_t>(completed_));
+  std::int64_t batched_requests = 0;
+  for (const WorkloadRecord& record : workloads_) {
+    scratch.insert(scratch.end(), record.latencies_s.begin(),
+                   record.latencies_s.end());
+    s.batches += record.batches;
+    batched_requests += record.batched_requests;
   }
-
-  if (!batch_sizes_.empty()) {
-    s.mean_batch =
-        static_cast<double>(std::accumulate(batch_sizes_.begin(),
-                                            batch_sizes_.end(),
-                                            std::int64_t{0})) /
-        static_cast<double>(batch_sizes_.size());
+  const Quantiles all = SelectQuantiles(&scratch);
+  s.p50_ms = all.p50 * 1e3;
+  s.p95_ms = all.p95 * 1e3;
+  s.p99_ms = all.p99 * 1e3;
+  s.max_ms = all.max * 1e3;
+  if (completed_ > 0) {
+    s.mean_ms = latency_sum_s_ / static_cast<double>(completed_) * 1e3;
   }
-  if (!depth_samples_.empty()) {
+  if (s.batches > 0) {
+    s.mean_batch = static_cast<double>(batched_requests) /
+                   static_cast<double>(s.batches);
     s.mean_queue_depth =
-        static_cast<double>(std::accumulate(depth_samples_.begin(),
-                                            depth_samples_.end(),
-                                            std::int64_t{0})) /
-        static_cast<double>(depth_samples_.size());
-    s.max_queue_depth =
-        *std::max_element(depth_samples_.begin(), depth_samples_.end());
+        static_cast<double>(depth_sum_) / static_cast<double>(s.batches);
+    s.max_queue_depth = max_depth_;
   }
 
   s.replica_utilization.reserve(replica_busy_s_.size());
@@ -276,72 +272,63 @@ StatsSummary ServeStats::Summarize(double offered_qps,
   }
   s.timeline = timeline_;
 
-  s.per_workload.reserve(workload_names_.size());
-  std::vector<double> scratch;  // Reused sort buffer across slices.
-  for (std::size_t w = 0; w < workload_names_.size(); ++w) {
+  s.per_workload.reserve(workloads_.size());
+  for (const WorkloadRecord& record : workloads_) {
     WorkloadSummary slice;
-    slice.name = workload_names_[w];
-    const auto& latencies = workload_latencies_s_[w];
-    slice.completed = static_cast<std::int64_t>(latencies.size());
+    slice.name = record.name;
+    slice.completed = static_cast<std::int64_t>(record.latencies_s.size());
     if (s.horizon_s > 0.0 && slice.completed > 0) {
       slice.throughput_rps =
           static_cast<double>(slice.completed) / s.horizon_s;
     }
-    // Single-workload runs: slice 0's population *is* the aggregate — reuse
-    // the sorted copy above instead of sorting it again. Multi-workload
-    // runs reuse one scratch buffer's allocation across slices.
-    const std::vector<double>* slice_sorted = &sorted;
-    if (workload_names_.size() > 1) {
-      scratch.assign(latencies.begin(), latencies.end());
-      std::sort(scratch.begin(), scratch.end());
-      slice_sorted = &scratch;
+    // A single workload's population is the aggregate: reuse its quantiles.
+    Quantiles q = all;
+    if (workloads_.size() > 1) {
+      scratch.assign(record.latencies_s.begin(), record.latencies_s.end());
+      q = SelectQuantiles(&scratch);
     }
-    slice.p50_ms = PercentileSorted(*slice_sorted, 50.0) * 1e3;
-    slice.p95_ms = PercentileSorted(*slice_sorted, 95.0) * 1e3;
-    slice.p99_ms = PercentileSorted(*slice_sorted, 99.0) * 1e3;
-    if (!slice_sorted->empty()) {
-      slice.mean_ms = std::accumulate(latencies.begin(), latencies.end(), 0.0) /
-                      static_cast<double>(latencies.size()) * 1e3;
-      slice.max_ms = slice_sorted->back() * 1e3;
+    slice.p50_ms = q.p50 * 1e3;
+    slice.p95_ms = q.p95 * 1e3;
+    slice.p99_ms = q.p99 * 1e3;
+    slice.max_ms = q.max * 1e3;
+    if (slice.completed > 0) {
+      slice.mean_ms = record.latency_sum_s /
+                      static_cast<double>(slice.completed) * 1e3;
     }
-    const auto& batches = workload_batches_[w];
-    slice.batches = static_cast<std::int64_t>(batches.size());
-    if (!batches.empty()) {
-      slice.mean_batch =
-          static_cast<double>(std::accumulate(batches.begin(), batches.end(),
-                                              std::int64_t{0})) /
-          static_cast<double>(batches.size());
+    slice.batches = record.batches;
+    if (record.batches > 0) {
+      slice.mean_batch = static_cast<double>(record.batched_requests) /
+                         static_cast<double>(record.batches);
     }
     s.per_workload.push_back(std::move(slice));
   }
 
   // Tier slices (admission-tiered runs): each tier's percentiles over its
   // own population, so batch-tier latencies cannot dilute the critical
-  // tier's p99. Workloads concatenate in workload-id order before the sort
-  // — a deterministic population regardless of completion interleaving.
+  // tier's p99.
   if (tiers_set_) {
     for (int t = 0; t < 3; ++t) {
       const SlaTier tier = static_cast<SlaTier>(t);
       scratch.clear();
       bool any = false;
-      for (std::size_t w = 0; w < workload_tiers_.size(); ++w) {
-        if (workload_tiers_[w] != tier) {
+      for (const WorkloadRecord& record : workloads_) {
+        if (record.tier != tier) {
           continue;
         }
         any = true;
-        scratch.insert(scratch.end(), workload_latencies_s_[w].begin(),
-                       workload_latencies_s_[w].end());
+        scratch.insert(scratch.end(), record.latencies_s.begin(),
+                       record.latencies_s.end());
       }
       if (!any) {
         continue;  // No tenant mapped to this tier: no slice row.
       }
-      std::sort(scratch.begin(), scratch.end());
       TierSummary slice;
       slice.name = TierName(tier);
       slice.tier = tier;
       slice.completed = static_cast<std::int64_t>(scratch.size());
-      slice.p50_ms = PercentileSorted(scratch, 50.0) * 1e3;
-      slice.p99_ms = PercentileSorted(scratch, 99.0) * 1e3;
+      const Quantiles q = SelectQuantiles(&scratch);
+      slice.p50_ms = q.p50 * 1e3;
+      slice.p99_ms = q.p99 * 1e3;
       s.per_tier.push_back(std::move(slice));
     }
   }

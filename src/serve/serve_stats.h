@@ -1,13 +1,14 @@
 // ServeStats — latency/throughput/utilization collector for NSFlow-Serve.
 //
-// Accumulates per-request latencies, batch sizes, backlog samples, and
-// per-replica busy time during a serve run, then summarizes them into the
-// operator-facing table: p50/p95/p99 latency, sustained throughput, queue
-// depth, and replica utilization. Percentiles use the nearest-rank method on
-// the full latency population (no reservoir sampling — runs are bounded).
+// Records a serve run — one latency per request, running sums and integer
+// batch/backlog tallies, only what the summary reads — and summarizes it
+// into the operator-facing table: p50/p95/p99 latency, throughput, queue
+// depth, and replica utilization. Percentiles are nearest-rank over the full
+// population, found by selection (docs/PERFORMANCE.md, "Run summary").
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -133,10 +134,12 @@ class ServeStats {
   /// runs never see either (their output stays byte-identical).
   void SetWorkloadTier(WorkloadId w, SlaTier tier);
 
-  /// Pre-size the per-request populations for an `expected_requests`-sized
-  /// run, so steady-state recording never reallocates mid-stream (part of
-  /// the serve path's allocation contract, docs/ENGINE.md). Purely an
-  /// allocation hint — recording behavior and output are unchanged.
+  /// Pre-size workload `w`'s latency population for the `per_workload[w]`
+  /// requests the run generates of it (or for one total, which only a
+  /// single-workload run can place), so steady-state recording never
+  /// reallocates mid-stream (part of the serve path's allocation contract,
+  /// docs/ENGINE.md). Purely an allocation hint — output is unchanged.
+  void Reserve(const std::vector<std::int64_t>& per_workload);
   void Reserve(std::int64_t expected_requests);
 
   /// One request finished: latency = complete - arrival (virtual seconds).
@@ -156,11 +159,10 @@ class ServeStats {
   /// One request entered the system at `arrival_s` (recorded in arrival
   /// order — the autoscaler's windowed-rate source).
   void RecordArrival(WorkloadId workload, double arrival_s);
-  /// Arrivals of `workload` (or of every workload) with arrival time in
-  /// [t0, t1). O(log n) — the arrival record is time-ordered.
+  /// Arrivals of `workload` with arrival time in [t0, t1). O(log n) — the
+  /// arrival record is time-ordered.
   std::int64_t ArrivalsInWindow(WorkloadId workload, double t0,
                                 double t1) const;
-  std::int64_t ArrivalsInWindow(double t0, double t1) const;
 
   /// Append one point to the reconfiguration/utilization timeline.
   void RecordPoolEvent(PoolEvent event);
@@ -172,27 +174,15 @@ class ServeStats {
   /// drained replicas). Spans default to [0, +inf) = the full horizon.
   void SetReplicaSpan(int index, double added_s, double retired_s);
 
-  /// Nearest-rank percentile, p in [0, 100]. Exposed for tests. Copies and
-  /// sorts; prefer PercentileInPlace when the caller owns the buffer, or
-  /// PercentileSorted when it is already sorted.
+  /// Nearest-rank percentile, p in [0, 100]: the smallest value with at
+  /// least p% of the population at or below it (0 for an empty one).
+  /// Exposed for tests; Summarize selects with the same rank.
   static double Percentile(std::vector<double> values, double p);
-
-  /// Non-copying variant: sorts `*values` ascending in place and evaluates
-  /// the percentile on it. The buffer stays sorted afterwards, so repeated
-  /// percentile queries on the same population pay one sort total.
-  static double PercentileInPlace(std::vector<double>* values, double p);
-
-  /// Nearest-rank percentile over an already ascending-sorted vector.
-  static double PercentileSorted(const std::vector<double>& sorted, double p);
 
   StatsSummary Summarize(double offered_qps, double run_duration_s) const;
 
   /// Render a summary as the operator-facing ASCII table.
   static std::string ToTable(const StatsSummary& summary);
-
-  std::int64_t completed() const {
-    return static_cast<std::int64_t>(latencies_s_.size());
-  }
 
   /// Timeline recorded so far (the engine reads the tail after each
   /// autoscaler tick to mirror new PoolEvents into the trace).
@@ -204,22 +194,37 @@ class ServeStats {
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
-  std::vector<double> latencies_s_;
-  std::vector<double> arrivals_s_;
-  std::vector<double> completions_s_;
-  std::vector<std::int64_t> batch_sizes_;
-  std::vector<std::int64_t> depth_samples_;
+  /// Registers the per-tier latency histograms in tiered runs only, so
+  /// untiered runs keep a byte-identical metrics dump.
+  void AttachTierHistograms();
+  /// `w` as an index into workloads_; throws when out of range.
+  std::size_t Slot(WorkloadId w) const;
+
+  /// What one workload's slice of the summary reads.
+  struct WorkloadRecord {
+    std::string name;
+    SlaTier tier = SlaTier::kStandard;  // Meaningful iff tiers_set_.
+    std::vector<double> latencies_s;    // Record order.
+    double latency_sum_s = 0.0;         // Left fold in record order.
+    std::int64_t batches = 0;
+    std::int64_t batched_requests = 0;
+    std::vector<double> arrivals_s;     // Time-ordered (autoscaler rates).
+  };
+  std::vector<WorkloadRecord> workloads_;
+  bool tiers_set_ = false;
+
+  // Run-wide tallies; the aggregate latency population and batch counts
+  // are the per-workload ones together.
+  std::int64_t completed_ = 0;
+  double latency_sum_s_ = 0.0;      // Left fold in record order.
+  double last_completion_s_ = 0.0;  // Running max.
+  std::int64_t depth_sum_ = 0;      // Backlog sampled at batch starts.
+  std::int64_t max_depth_ = 0;
+  double last_arrival_s_ = -std::numeric_limits<double>::infinity();
+
   std::vector<double> replica_busy_s_;
   std::vector<std::pair<double, double>> replica_spans_;  // [added, retired).
   std::vector<PoolEvent> timeline_;
-  std::vector<double> arrival_stamps_;                    // All workloads.
-  std::vector<std::vector<double>> workload_arrivals_s_;  // Per workload.
-
-  std::vector<std::string> workload_names_;
-  std::vector<std::vector<double>> workload_latencies_s_;    // Per workload.
-  std::vector<std::vector<std::int64_t>> workload_batches_;  // Batch sizes.
-  std::vector<SlaTier> workload_tiers_;  // Meaningful iff tiers_set_.
-  bool tiers_set_ = false;
 
   // Resolved by AttachMetrics; null = metrics off.
   obs::Histogram* latency_hist_ = nullptr;

@@ -5,7 +5,6 @@
 // run, and the structured logger's sink injection + level filter.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -318,20 +317,6 @@ TEST(ObsServeTest, SpansSatisfyLifecycleInvariants) {
     }
   }
   EXPECT_EQ(decisions, static_cast<std::int64_t>(report.deltas.size()));
-}
-
-TEST(ObsServeTest, PercentileInPlaceMatchesCopyingPath) {
-  const std::vector<double> values = {5.0, 1.0, 4.0, 2.0, 3.0, 9.0, 7.0};
-  for (const double p : {0.0, 25.0, 50.0, 95.0, 99.0, 100.0}) {
-    std::vector<double> scratch = values;
-    EXPECT_DOUBLE_EQ(serve::ServeStats::PercentileInPlace(&scratch, p),
-                     serve::ServeStats::Percentile(values, p))
-        << "p=" << p;
-  }
-  // The in-place path sorts its argument instead of copying.
-  std::vector<double> scratch = values;
-  serve::ServeStats::PercentileInPlace(&scratch, 50.0);
-  EXPECT_TRUE(std::is_sorted(scratch.begin(), scratch.end()));
 }
 
 // ------------------------------------------------------------------ logger

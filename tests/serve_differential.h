@@ -15,8 +15,11 @@
 // arrival draws) identically. `PlatformFingerprint` digests the fixture's
 // arrival streams and cycle-model latencies; when it matches the recorded
 // one, golden rows are compared strictly, otherwise the golden leg is
-// skipped (the legacy-vs-event in-process comparison still runs — that one
-// is toolchain-independent by construction).
+// skipped. What still runs then is the trace-invariant leg
+// (`MatrixSatisfiesTraceInvariants`, tests/trace_invariants.h): it checks
+// conservation, replica occupancy and span lifecycles on every matrix row,
+// which holds on any toolchain but pins no bits. Portable arrival draws
+// (ROADMAP item 6) would let the golden leg run everywhere.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,11 @@
 // seed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <numeric>
+
 #include "common/rng.h"
 #include "dse/dse.h"
 #include "nsflow/framework.h"
@@ -102,6 +107,176 @@ TEST(ServeStatsTest, NearestRankPercentiles) {
   EXPECT_DOUBLE_EQ(ServeStats::Percentile(values, 100.0), 100.0);
   EXPECT_DOUBLE_EQ(ServeStats::Percentile({5.0}, 99.0), 5.0);
   EXPECT_DOUBLE_EQ(ServeStats::Percentile({}, 50.0), 0.0);
+}
+
+// Sort-based nearest-rank reference, independent of ServeStats.
+double SortedPercentile(std::vector<double> values, double p) {
+  if (values.empty()) {
+    return 0.0;
+  }
+  std::sort(values.begin(), values.end());
+  const double rank = std::ceil(p / 100.0 * static_cast<double>(values.size()));
+  const std::size_t index =
+      std::min(static_cast<std::size_t>(std::max(1.0, rank)) - 1,
+               values.size() - 1);
+  return values[index];
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+TEST(ServeStatsTest, PercentileSelectionMatchesSort) {
+  Rng rng(2024);
+  for (const std::size_t n : {0, 1, 2, 19, 20, 21, 99, 100, 101, 1000}) {
+    for (const bool ties : {false, true}) {
+      std::vector<double> values(n);
+      for (double& v : values) {
+        // Heavy ties: four distinct values across the whole population.
+        v = ties ? 0.25 * static_cast<double>(rng.UniformInt(0, 3))
+                 : rng.Uniform(0.0, 0.1);
+      }
+      for (const double p : {0.0, 25.0, 50.0, 95.0, 99.0, 100.0}) {
+        EXPECT_EQ(Bits(ServeStats::Percentile(values, p)),
+                  Bits(SortedPercentile(values, p)))
+            << "n=" << n << " ties=" << ties << " p=" << p;
+      }
+    }
+  }
+}
+
+// Three tenants — one never completes anything — tiered so every tier slice
+// exists, with requests and batches interleaved across tenants. Every
+// summary field must equal, bit for bit, what sorting each population and
+// std::accumulate-ing it in record order reports.
+TEST(ServeStatsTest, SummarizeMatchesSortReference) {
+  constexpr int kWorkloads = 3;
+  const SlaTier tiers[kWorkloads] = {SlaTier::kCritical, SlaTier::kStandard,
+                                     SlaTier::kBatch};
+  ServeStats stats(2, kWorkloads);
+  for (WorkloadId w = 0; w < kWorkloads; ++w) {
+    stats.SetWorkloadName(w, "w" + std::to_string(w));
+    stats.SetWorkloadTier(w, tiers[w]);
+  }
+  stats.Reserve(std::vector<std::int64_t>{600, 0, 600});
+
+  std::vector<double> all;
+  std::vector<double> latencies[kWorkloads];
+  std::vector<std::int64_t> sizes;
+  std::vector<std::int64_t> depths;
+  std::vector<std::int64_t> sizes_of[kWorkloads];
+  double last_completion = 0.0;
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    const WorkloadId w = rng.Bernoulli(0.4) ? 0 : 2;
+    const double arrival = rng.Uniform(0.0, 2.0);
+    // Coarse latencies so the populations carry ties.
+    const double complete =
+        arrival + 1e-3 * static_cast<double>(rng.UniformInt(0, 40));
+    stats.RecordRequest(w, arrival, complete);
+    all.push_back(complete - arrival);
+    latencies[w].push_back(complete - arrival);
+    last_completion = std::max(last_completion, complete);
+    if (i % 7 == 0) {
+      const std::int64_t size = rng.UniformInt(1, 8);
+      const std::int64_t depth = rng.UniformInt(-3, 50);
+      stats.RecordBatch(w, size, depth);
+      sizes.push_back(size);
+      depths.push_back(std::max<std::int64_t>(0, depth));
+      sizes_of[w].push_back(size);
+    }
+  }
+  stats.RecordReplicaBusy(0, 0.5);
+
+  auto mean = [](const std::vector<double>& v) {
+    return v.empty() ? 0.0
+                     : std::accumulate(v.begin(), v.end(), 0.0) /
+                           static_cast<double>(v.size()) * 1e3;
+  };
+  auto mean_batch = [](const std::vector<std::int64_t>& v) {
+    return v.empty() ? 0.0
+                     : static_cast<double>(std::accumulate(
+                           v.begin(), v.end(), std::int64_t{0})) /
+                           static_cast<double>(v.size());
+  };
+  auto max_ms = [](std::vector<double> v) {
+    return v.empty() ? 0.0 : *std::max_element(v.begin(), v.end()) * 1e3;
+  };
+
+  const StatsSummary s = stats.Summarize(500.0, 1.0);
+  const double horizon = std::max(1.0, last_completion);
+  EXPECT_EQ(s.completed, 1000);
+  EXPECT_EQ(s.batches, static_cast<std::int64_t>(sizes.size()));
+  EXPECT_EQ(Bits(s.horizon_s), Bits(horizon));
+  EXPECT_EQ(Bits(s.throughput_rps), Bits(1000.0 / horizon));
+  EXPECT_EQ(Bits(s.offered_qps), Bits(500.0));
+  EXPECT_EQ(Bits(s.p50_ms), Bits(SortedPercentile(all, 50.0) * 1e3));
+  EXPECT_EQ(Bits(s.p95_ms), Bits(SortedPercentile(all, 95.0) * 1e3));
+  EXPECT_EQ(Bits(s.p99_ms), Bits(SortedPercentile(all, 99.0) * 1e3));
+  EXPECT_EQ(Bits(s.mean_ms), Bits(mean(all)));
+  EXPECT_EQ(Bits(s.max_ms), Bits(max_ms(all)));
+  EXPECT_EQ(Bits(s.mean_batch), Bits(mean_batch(sizes)));
+  EXPECT_EQ(Bits(s.mean_queue_depth), Bits(mean_batch(depths)));
+  EXPECT_EQ(s.max_queue_depth, *std::max_element(depths.begin(), depths.end()));
+  ASSERT_EQ(s.replica_utilization.size(), 2u);
+  EXPECT_EQ(Bits(s.replica_utilization[0]), Bits(0.5 / horizon));
+  EXPECT_EQ(Bits(s.replica_utilization[1]), Bits(0.0));
+
+  ASSERT_EQ(s.per_workload.size(), 3u);
+  for (int w = 0; w < kWorkloads; ++w) {
+    const WorkloadSummary& slice = s.per_workload[static_cast<std::size_t>(w)];
+    const std::vector<double>& v = latencies[w];
+    SCOPED_TRACE(slice.name);
+    EXPECT_EQ(slice.name, "w" + std::to_string(w));
+    EXPECT_EQ(slice.completed, static_cast<std::int64_t>(v.size()));
+    EXPECT_EQ(slice.batches, static_cast<std::int64_t>(sizes_of[w].size()));
+    EXPECT_EQ(Bits(slice.throughput_rps),
+              Bits(v.empty() ? 0.0
+                             : static_cast<double>(v.size()) / horizon));
+    EXPECT_EQ(Bits(slice.p50_ms), Bits(SortedPercentile(v, 50.0) * 1e3));
+    EXPECT_EQ(Bits(slice.p95_ms), Bits(SortedPercentile(v, 95.0) * 1e3));
+    EXPECT_EQ(Bits(slice.p99_ms), Bits(SortedPercentile(v, 99.0) * 1e3));
+    EXPECT_EQ(Bits(slice.mean_ms), Bits(mean(v)));
+    EXPECT_EQ(Bits(slice.max_ms), Bits(max_ms(v)));
+    EXPECT_EQ(Bits(slice.mean_batch), Bits(mean_batch(sizes_of[w])));
+  }
+  EXPECT_EQ(s.per_workload[1].completed, 0);
+
+  ASSERT_EQ(s.per_tier.size(), 3u);
+  for (int w = 0; w < kWorkloads; ++w) {
+    // One workload per tier, so each tier's population is that workload's.
+    const TierSummary& slice = s.per_tier[static_cast<std::size_t>(w)];
+    const std::vector<double>& v = latencies[w];
+    EXPECT_EQ(slice.tier, tiers[w]);
+    EXPECT_EQ(slice.name, TierName(tiers[w]));
+    EXPECT_EQ(slice.completed, static_cast<std::int64_t>(v.size()));
+    EXPECT_EQ(Bits(slice.p50_ms), Bits(SortedPercentile(v, 50.0) * 1e3));
+    EXPECT_EQ(Bits(slice.p99_ms), Bits(SortedPercentile(v, 99.0) * 1e3));
+  }
+  EXPECT_TRUE(s.timeline.empty());
+  EXPECT_TRUE(s.per_node.empty());
+}
+
+TEST(ServeStatsTest, ArrivalsStayOrderedAndCountPerWorkload) {
+  ServeStats stats(1, 2);
+  stats.RecordArrival(0, 0.1);
+  stats.RecordArrival(1, 0.2);
+  stats.RecordArrival(0, 0.2);  // Same instant is still in order.
+  stats.RecordArrival(1, 0.5);
+  stats.RecordArrival(0, 0.7);
+  // Out of order across workloads: the check is run-wide, not per tenant.
+  EXPECT_THROW(stats.RecordArrival(0, 0.6), CheckError);
+  EXPECT_THROW(stats.RecordArrival(1, 0.0), CheckError);
+
+  EXPECT_EQ(stats.ArrivalsInWindow(0, 0.0, 1.0), 3);
+  EXPECT_EQ(stats.ArrivalsInWindow(1, 0.0, 1.0), 2);
+  EXPECT_EQ(stats.ArrivalsInWindow(0, 0.1, 0.2), 1);  // [t0, t1): 0.2 out.
+  EXPECT_EQ(stats.ArrivalsInWindow(0, 0.2, 0.7), 1);
+  EXPECT_EQ(stats.ArrivalsInWindow(1, 0.2, 0.5), 1);
+  EXPECT_EQ(stats.ArrivalsInWindow(1, 0.6, 2.0), 0);
+  // The rejected stamps were not recorded.
+  EXPECT_EQ(stats.ArrivalsInWindow(0, 0.6, 0.7), 0);
+  EXPECT_EQ(stats.ArrivalsInWindow(1, 0.0, 0.1), 0);
+  stats.RecordArrival(1, 0.7);
+  EXPECT_EQ(stats.ArrivalsInWindow(1, 0.0, 1.0), 3);
 }
 
 TEST(ServeStatsTest, SummarizesLatencyAndUtilization) {

@@ -38,7 +38,10 @@ guard admission on, so every arrival also reads the pool's live fraction.
 Each ratio is gated at its artifact's `gate_ratio` (1.5) on every run,
 whatever the baseline says; under `--compare` both ride in the delta
 report, and an artifact without a section the baseline has fails as
-missing.
+missing. The `scale` section also carries `summarize_share`: the wall time
+of ServeStats::Summarize over a population shaped like the 1024-replica
+run's, divided by that run's wall time, gated at its `summarize_gate`
+(0.15) the same way.
 
 Usage:
   tools/run_benches.py [--build-dir build] [--out BENCH_serve.json]
@@ -146,6 +149,10 @@ def collect_metrics(serve_report, plan_report):
                      scale["points"][-1]["ns_per_request"], "lower",
                      "wall"),
                 ]
+                if "summarize_share" in scale:
+                    metrics.append((f"{section}.summarize_share",
+                                    scale["summarize_share"], "lower",
+                                    "wall"))
         event_core = serve_report.get("event_core")
         if event_core is not None:
             metrics += [
@@ -359,6 +366,14 @@ def main():
             print(f"error: host ns/request grows with the replica count "
                   f"beyond the {section} gate", file=sys.stderr)
             return 1
+        if "summarize_share" in scale:
+            print(f"{section}: Summarize {scale['summarize_ms']:.2f} ms, "
+                  f"{scale['summarize_share']:.3f} of the 1024-replica run "
+                  f"(gate {scale['summarize_gate']:.2f})")
+            if scale["summarize_share"] > scale["summarize_gate"]:
+                print("error: the run summary takes more than its gated "
+                      "share of the serve run", file=sys.stderr)
+                return 1
     event_core = report.get("event_core")
     if event_core is not None:
         if not event_core["ok"]:
