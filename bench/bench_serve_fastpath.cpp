@@ -48,6 +48,11 @@
 // workload's latencies over its p50..max), divided by the run's own wall
 // time (docs/PERFORMANCE.md, "Run summary"); tools/run_benches.py gates it.
 //
+// A seventh section times the arrival generator (docs/PERFORMANCE.md,
+// "Arrivals"): ns per arrival for Poisson and for diurnal:depth=0.8 at 1M
+// arrivals each, and their `diurnal_over_poisson` ratio from the same
+// process, which tools/run_benches.py gates.
+//
 // Usage: bench_serve_fastpath [--out BENCH_serve.json] [--smoke]
 //                             [--trace-out trace.json]
 #include <algorithm>
@@ -67,6 +72,7 @@
 #include "runtime/host_runtime.h"
 #include "serve/engine.h"
 #include "serve/event_core.h"
+#include "serve/scenario.h"
 #include "serve/serve_stats.h"
 #include "serve/server_pool.h"
 #include "serve/workload_registry.h"
@@ -553,6 +559,53 @@ int main(int argc, char** argv) {
               summarize_ms, scale_run_ms, scale_replicas.back(),
               summarize_share, summarize_gate);
 
+  // ------------------------------------------------------------ arrivals
+  // Host cost of the arrival generator per generated arrival: stationary
+  // Poisson and diurnal:depth=0.8, one period over the run, each at 1M
+  // arrivals on a two-workload mix. The diurnal stream is thinned against
+  // its 1.8x crest, so each of its arrivals pays ~1.8 candidates, each two
+  // uniforms, a log and the rate curve; Poisson pays one gap and one mix
+  // draw. Their ratio from the same process is machine-independent and
+  // grows with whatever the thinned path costs per candidate beyond the
+  // draws themselves. The kinds interleave within each round; each keeps
+  // its best round.
+  const double arrivals_qps = 1e6;
+  const double arrivals_gate = 3.0;
+  const int arrivals_rounds = smoke ? 5 : 9;
+  const std::vector<double> arrivals_shares = {0.5, 0.5};
+  struct ArrivalKind {
+    const char* name;
+    serve::ScenarioSpec spec;
+    double ns = 0.0;
+    std::int64_t arrivals = 0;
+  };
+  std::vector<ArrivalKind> arrival_kinds = {
+      {"poisson", serve::ScenarioSpec::Parse("poisson")},
+      {"diurnal", serve::ScenarioSpec::Parse("diurnal:depth=0.8")}};
+  for (int round = 0; round < arrivals_rounds; ++round) {
+    for (ArrivalKind& kind : arrival_kinds) {
+      const auto start = Clock::now();
+      const std::vector<serve::Request> generated = serve::GenerateArrivals(
+          kind.spec, arrivals_qps, /*duration_s=*/1.0, /*seed=*/7,
+          arrivals_shares);
+      const double ns =
+          ElapsedNs(start) / static_cast<double>(generated.size());
+      sink += generated.back().arrival_s;
+      kind.arrivals = static_cast<std::int64_t>(generated.size());
+      if (round == 0 || ns < kind.ns) {
+        kind.ns = ns;
+      }
+    }
+  }
+  const double diurnal_over_poisson =
+      arrival_kinds[1].ns / arrival_kinds[0].ns;
+  std::printf("arrivals: poisson %.1f ns, diurnal %.1f ns per arrival "
+              "(%lld / %lld arrivals) -> ratio %.2f (gate %.1f)\n",
+              arrival_kinds[0].ns, arrival_kinds[1].ns,
+              static_cast<long long>(arrival_kinds[0].arrivals),
+              static_cast<long long>(arrival_kinds[1].arrivals),
+              diurnal_over_poisson, arrivals_gate);
+
   // ------------------------------------------------------------ emit JSON
   JsonObject cold_cache;
   cold_cache["cache_entries"] = Json(static_cast<std::int64_t>(evals.size()));
@@ -640,6 +693,18 @@ int main(int argc, char** argv) {
     scale_sections.push_back(Json(std::move(section)));
   }
 
+  JsonObject arrivals;
+  arrivals["qps"] = Json(arrivals_qps);
+  arrivals["mix_shares"] = Json("0.5,0.5");
+  arrivals["seed"] = Json(7);
+  arrivals["rounds"] = Json(arrivals_rounds);
+  for (const ArrivalKind& kind : arrival_kinds) {
+    arrivals[std::string(kind.name) + "_arrivals"] = Json(kind.arrivals);
+    arrivals[std::string(kind.name) + "_ns"] = Json(kind.ns);
+  }
+  arrivals["diurnal_over_poisson"] = Json(diurnal_over_poisson);
+  arrivals["gate"] = Json(arrivals_gate);
+
   JsonObject contract;
   contract["checked"] = Json(static_cast<std::int64_t>(evals.size()));
   contract["divergent"] = Json(divergent);
@@ -656,6 +721,7 @@ int main(int argc, char** argv) {
   for (std::size_t c = 0; c < scale_curves.size(); ++c) {
     root[scale_curves[c].name] = std::move(scale_sections[c]);
   }
+  root["arrivals"] = Json(std::move(arrivals));
   root["contract"] = Json(std::move(contract));
   root["checksum_sink"] = Json(sink);  // Keeps the timed loops honest.
 

@@ -53,72 +53,58 @@ std::string KnownScenarioNames() {
   return names;
 }
 
-/// The workload draw shared by every generator: same distribution, same
-/// fallback rule as the original engine sampler (see engine.cpp history) —
-/// FP rounding can leave `pick` non-negative after subtracting every share,
-/// so the fallback is the last *positive-share* workload, never a
-/// zero-share tenant. Consumes one uniform iff there are >= 2 shares.
-WorkloadId DrawWorkload(Rng& rng, const std::vector<double>& shares,
-                        double total_share) {
-  WorkloadId workload = 0;
-  if (shares.size() > 1) {
-    for (std::size_t w = shares.size(); w-- > 0;) {
-      if (shares[w] > 0.0) {
-        workload = static_cast<WorkloadId>(w);
-        break;
-      }
-    }
-    double pick = rng.Uniform() * total_share;
+/// The workload draw shared by every generator, resolved once per run:
+/// same distribution, same fallback rule as the original engine sampler
+/// (see engine.cpp history) — FP rounding can leave `pick` non-negative
+/// after subtracting every share, so the fallback is the last
+/// *positive-share* workload, never a zero-share tenant. Consumes one
+/// uniform iff there are >= 2 shares.
+class WorkloadDraw {
+ public:
+  explicit WorkloadDraw(const std::vector<double>& shares) : shares_(shares) {
+    NSF_CHECK_MSG(!shares.empty(), "need at least one workload share");
     for (std::size_t w = 0; w < shares.size(); ++w) {
-      pick -= shares[w];
-      if (pick < 0.0) {
-        workload = static_cast<WorkloadId>(w);
-        break;
+      NSF_CHECK_MSG(shares[w] >= 0.0, "workload shares must be non-negative");
+      total_ += shares[w];
+      if (shares[w] > 0.0) {
+        fallback_ = static_cast<WorkloadId>(w);
       }
     }
+    NSF_CHECK_MSG(total_ > 0.0, "at least one share must be positive");
   }
-  return workload;
-}
 
-/// The bursty on-state rate, normalized so the long-run mean stays `qps`:
-///   (rate_on * on + rate_off * off) / (on + off) = qps.
-/// Shared by the generator, the peak-rate query, and spec validation —
-/// all three must agree that an off-state exceeding the mean is an error.
-double BurstyOnRate(const ScenarioSpec& spec, double qps) {
-  const double on_s = spec.Param("on", 0.05);
-  const double off_s = spec.Param("off", 0.15);
-  const double idle = spec.Param("idle", 0.1);
-  NSF_CHECK_MSG(on_s > 0.0, "bursty on-dwell must be positive");
-  NSF_CHECK_MSG(off_s >= 0.0, "bursty off-dwell must be non-negative");
-  NSF_CHECK_MSG(idle >= 0.0, "bursty idle fraction must be non-negative");
-  const double rate_on =
-      (qps * (on_s + off_s) - idle * qps * off_s) / on_s;
-  NSF_CHECK_MSG(rate_on > 0.0,
-                "bursty idle fraction too large for the dwell ratio (the "
-                "off-state alone exceeds the target mean rate)");
-  return rate_on;
-}
-
-double CheckedTotalShare(const std::vector<double>& shares) {
-  NSF_CHECK_MSG(!shares.empty(), "need at least one workload share");
-  double total = 0.0;
-  for (const double share : shares) {
-    NSF_CHECK_MSG(share >= 0.0, "workload shares must be non-negative");
-    total += share;
+  WorkloadId operator()(Rng& rng) const {
+    if (shares_.size() < 2) {
+      return 0;
+    }
+    double pick = rng.Uniform() * total_;
+    for (std::size_t w = 0; w < shares_.size(); ++w) {
+      pick -= shares_[w];
+      if (pick < 0.0) {
+        return static_cast<WorkloadId>(w);
+      }
+    }
+    return fallback_;
   }
-  NSF_CHECK_MSG(total > 0.0, "at least one share must be positive");
-  return total;
+
+ private:
+  const std::vector<double>& shares_;
+  double total_ = 0.0;
+  WorkloadId fallback_ = 0;
+};
+
+/// Capacity for an arrival count of mean `expected`: six sigma of Poisson
+/// headroom, so the vector almost never grows.
+std::size_t CountCapacity(double expected) {
+  return static_cast<std::size_t>(expected + 6.0 * std::sqrt(expected) + 16.0);
 }
 
 /// Stationary Poisson at `qps` — bit-identical to the original PR 1/2
 /// generator: one uniform per gap, one per workload draw (when mixing).
 std::vector<Request> GeneratePoisson(double qps, double duration_s, Rng& rng,
-                                     const std::vector<double>& shares,
-                                     double total_share) {
-  const double lambda = qps * duration_s;  // Mean of the Poisson count.
+                                     const WorkloadDraw& draw) {
   std::vector<Request> arrivals;
-  arrivals.reserve(  // Six sigma of headroom: it almost never grows.
-      static_cast<std::size_t>(lambda + 6.0 * std::sqrt(lambda) + 16.0));
+  arrivals.reserve(CountCapacity(qps * duration_s));
   double now = 0.0;
   std::int64_t next_id = 0;
   while (true) {
@@ -126,24 +112,23 @@ std::vector<Request> GeneratePoisson(double qps, double duration_s, Rng& rng,
     if (now >= duration_s) {
       break;
     }
-    const WorkloadId workload = DrawWorkload(rng, shares, total_share);
-    arrivals.push_back(Request{next_id++, now, workload});
+    arrivals.push_back(Request{next_id++, now, draw(rng)});
   }
   return arrivals;
 }
 
-/// Lewis–Shedler thinning against the ceiling `rate_max`: candidates arrive
-/// as a homogeneous Poisson at rate_max, and candidate t survives with
-/// probability rate(t)/rate_max. Consumes two uniforms per candidate plus
-/// the workload draw per accepted arrival — a fixed order, so the (seed,
-/// spec) pair pins the trace.
-template <typename RateFn>
-std::vector<Request> GenerateThinned(double rate_max, double duration_s,
-                                     Rng& rng,
-                                     const std::vector<double>& shares,
-                                     double total_share, const RateFn& rate) {
+/// Lewis–Shedler thinning against the curve's ceiling: candidates arrive
+/// as a homogeneous Poisson at the peak rate, and candidate t survives with
+/// probability Rate(t)/peak. Consumes two uniforms per candidate plus the
+/// workload draw per accepted arrival — a fixed order, so the (seed, spec)
+/// pair pins the trace.
+std::vector<Request> GenerateThinned(const RateCurve& curve, Rng& rng,
+                                     const WorkloadDraw& draw) {
+  const double rate_max = curve.Peak();
+  const double duration_s = curve.duration_s;
   NSF_CHECK_MSG(rate_max > 0.0, "scenario rate ceiling must be positive");
   std::vector<Request> arrivals;
+  arrivals.reserve(CountCapacity(curve.Mean() * duration_s));
   double now = 0.0;
   std::int64_t next_id = 0;
   while (true) {
@@ -151,9 +136,8 @@ std::vector<Request> GenerateThinned(double rate_max, double duration_s,
     if (now >= duration_s) {
       break;
     }
-    if (rng.Uniform() * rate_max < rate(now)) {
-      const WorkloadId workload = DrawWorkload(rng, shares, total_share);
-      arrivals.push_back(Request{next_id++, now, workload});
+    if (rng.Uniform() * rate_max < curve.Rate(now)) {
+      arrivals.push_back(Request{next_id++, now, draw(rng)});
     }
   }
   return arrivals;
@@ -163,24 +147,20 @@ std::vector<Request> GenerateThinned(double rate_max, double duration_s,
 /// homogeneous Poisson at the window's state rate inside each. Restarting
 /// the gap draw at every window boundary is exact (memorylessness), so the
 /// count in a window of length L at rate r is Poisson(r*L).
-std::vector<Request> GenerateBursty(const ScenarioSpec& spec, double qps,
-                                    double duration_s, Rng& rng,
-                                    const std::vector<double>& shares,
-                                    double total_share) {
-  const double on_s = spec.Param("on", 0.05);
-  const double off_s = spec.Param("off", 0.15);
-  const double rate_off = spec.Param("idle", 0.1) * qps;
-  const double rate_on = BurstyOnRate(spec, qps);
-
+std::vector<Request> GenerateBursty(const RateCurve& curve, Rng& rng,
+                                    const WorkloadDraw& draw) {
+  const double duration_s = curve.duration_s;
+  const double rate_off = curve.idle * curve.qps;
   std::vector<Request> arrivals;
+  arrivals.reserve(CountCapacity(curve.Mean() * duration_s));
   std::int64_t next_id = 0;
   double window_start = 0.0;
   bool on = true;  // Runs open in a burst so short horizons see one.
   while (window_start < duration_s) {
     const double dwell =
-        -std::log(1.0 - rng.Uniform()) * (on ? on_s : off_s);
+        -std::log(1.0 - rng.Uniform()) * (on ? curve.on_s : curve.off_s);
     const double window_end = std::min(window_start + dwell, duration_s);
-    const double rate = on ? rate_on : rate_off;
+    const double rate = on ? curve.rate_on : rate_off;
     if (rate > 0.0) {
       double now = window_start;
       while (true) {
@@ -188,8 +168,7 @@ std::vector<Request> GenerateBursty(const ScenarioSpec& spec, double qps,
         if (now >= window_end) {
           break;
         }
-        const WorkloadId workload = DrawWorkload(rng, shares, total_share);
-        arrivals.push_back(Request{next_id++, now, workload});
+        arrivals.push_back(Request{next_id++, now, draw(rng)});
       }
     }
     window_start = window_end;
@@ -202,17 +181,10 @@ std::vector<Request> GenerateBursty(const ScenarioSpec& spec, double qps,
 /// think time plus a fixed residence estimate after the previous one (no
 /// completion feedback — the residence estimate stands in for the service
 /// round-trip, keeping the trace pre-computable and bit-deterministic).
-std::vector<Request> GenerateClosedLoop(const ScenarioSpec& spec,
-                                        double duration_s, Rng& rng,
-                                        const std::vector<double>& shares,
-                                        double total_share) {
-  const int clients = static_cast<int>(spec.Param("clients", 4.0));
-  const double think_s = spec.Param("think_ms", 10.0) * 1e-3;
-  const double service_s = spec.Param("service_ms", 1.0) * 1e-3;
-  NSF_CHECK_MSG(clients >= 1, "closed loop needs at least one client");
-  NSF_CHECK_MSG(think_s > 0.0, "closed-loop think time must be positive");
-  NSF_CHECK_MSG(service_s >= 0.0,
-                "closed-loop service estimate must be non-negative");
+std::vector<Request> GenerateClosedLoop(const RateCurve& curve, Rng& rng,
+                                        const WorkloadDraw& draw) {
+  const int clients = static_cast<int>(curve.clients);
+  const double duration_s = curve.duration_s;
 
   // Per-client generation in client order (deterministic), then one sort by
   // (time, client, sequence) to interleave the sessions on the timeline.
@@ -227,15 +199,14 @@ std::vector<Request> GenerateClosedLoop(const ScenarioSpec& spec,
     double now = 0.0;
     std::int64_t seq = 0;
     while (true) {
-      now += -std::log(1.0 - rng.Uniform()) * think_s;
+      now += -std::log(1.0 - rng.Uniform()) * curve.think_s;
       if (seq > 0) {
-        now += service_s;  // The previous request's residence.
+        now += curve.service_s;  // The previous request's residence.
       }
       if (now >= duration_s) {
         break;
       }
-      const WorkloadId workload = DrawWorkload(rng, shares, total_share);
-      pending.push_back(Pending{now, c, seq++, workload});
+      pending.push_back(Pending{now, c, seq++, draw(rng)});
     }
   }
   std::sort(pending.begin(), pending.end(),
@@ -322,54 +293,9 @@ ScenarioSpec ScenarioSpec::Parse(const std::string& text) {
                 "trace:file=arrivals.json)");
   }
 
-  // Range validation of the provided parameters (defaults are always
-  // valid; duration-relative defaults are resolved at generation time).
-  const auto require = [&](bool ok, const char* message) {
-    if (!ok) {
-      throw Error("scenario '" + spec.Name() + "': " + message);
-    }
-  };
-  switch (spec.kind) {
-    case ScenarioKind::kDiurnal: {
-      const double depth = spec.Param("depth", 0.8);
-      require(depth >= 0.0 && depth < 1.0, "depth must be in [0, 1)");
-      require(spec.Param("period", 1.0) > 0.0, "period must be positive");
-      break;
-    }
-    case ScenarioKind::kBursty:
-      require(spec.Param("on", 0.05) > 0.0, "on-dwell must be positive");
-      require(spec.Param("off", 0.15) >= 0.0,
-              "off-dwell must be non-negative");
-      require(spec.Param("idle", 0.1) >= 0.0,
-              "idle fraction must be non-negative");
-      // rate_on > 0 is qps-independent: (on + off) - idle*off > 0.
-      require(spec.Param("on", 0.05) + spec.Param("off", 0.15) -
-                      spec.Param("idle", 0.1) * spec.Param("off", 0.15) >
-                  0.0,
-              "idle fraction too large for the dwell ratio (the off-state "
-              "alone would exceed the target mean rate)");
-      break;
-    case ScenarioKind::kRamp:
-      require(spec.Param("from", 0.0) >= 0.0 && spec.Param("to", 2.0) >= 0.0,
-              "endpoints must be non-negative");
-      require(spec.Param("from", 0.0) > 0.0 || spec.Param("to", 2.0) > 0.0,
-              "at least one endpoint must be positive");
-      break;
-    case ScenarioKind::kSpike:
-      require(spec.Param("width", 1.0) >= 0.0, "width must be non-negative");
-      require(spec.Param("mult", 5.0) >= 0.0, "mult must be non-negative");
-      break;
-    case ScenarioKind::kClosedLoop:
-      require(spec.Param("clients", 4.0) >= 1.0, "need at least one client");
-      require(spec.Param("think_ms", 10.0) > 0.0,
-              "think time must be positive");
-      require(spec.Param("service_ms", 1.0) >= 0.0,
-              "service estimate must be non-negative");
-      break;
-    case ScenarioKind::kPoisson:
-    case ScenarioKind::kTrace:
-      break;
-  }
+  // Range checks (defaults are always valid, so any qps and duration
+  // resolve the same parameters).
+  RateCurve::Resolve(spec, 1.0, 1.0);
   return spec;
 }
 
@@ -411,56 +337,102 @@ double ScenarioSpec::Param(const std::string& key, double fallback) const {
   return it == params.end() ? fallback : it->second;
 }
 
-double ScenarioRate(const ScenarioSpec& spec, double qps, double duration_s,
-                    double t) {
+RateCurve RateCurve::Resolve(const ScenarioSpec& spec, double qps,
+                             double duration_s) {
+  const auto require = [&](bool ok, const char* message) {
+    if (!ok) {
+      throw Error("scenario '" + spec.Name() + "': " + message);
+    }
+  };
+  RateCurve curve;
+  curve.kind = spec.kind;
+  curve.qps = qps;
+  curve.duration_s = duration_s;
   switch (spec.kind) {
+    case ScenarioKind::kDiurnal:
+      curve.period = spec.Param("period", duration_s);
+      curve.depth = spec.Param("depth", 0.8);
+      curve.phase = spec.Param("phase", 0.0);
+      require(curve.depth >= 0.0 && curve.depth < 1.0,
+              "depth must be in [0, 1)");
+      require(curve.period > 0.0, "period must be positive");
+      break;
+    case ScenarioKind::kBursty:
+      curve.on_s = spec.Param("on", 0.05);
+      curve.off_s = spec.Param("off", 0.15);
+      curve.idle = spec.Param("idle", 0.1);
+      require(curve.on_s > 0.0, "on-dwell must be positive");
+      require(curve.off_s >= 0.0, "off-dwell must be non-negative");
+      require(curve.idle >= 0.0, "idle fraction must be non-negative");
+      // The on-state rate, normalized so the long-run mean stays `qps`:
+      //   (rate_on * on + rate_off * off) / (on + off) = qps.
+      // It is positive iff (on + off) - idle*off > 0, whatever the qps.
+      require(curve.on_s + curve.off_s - curve.idle * curve.off_s > 0.0,
+              "idle fraction too large for the dwell ratio (the off-state "
+              "alone would exceed the target mean rate)");
+      curve.rate_on = (qps * (curve.on_s + curve.off_s) -
+                       curve.idle * qps * curve.off_s) /
+                      curve.on_s;
+      break;
+    case ScenarioKind::kRamp:
+      curve.from = spec.Param("from", 0.0);
+      curve.to = spec.Param("to", 2.0);
+      require(curve.from >= 0.0 && curve.to >= 0.0,
+              "endpoints must be non-negative");
+      require(curve.from > 0.0 || curve.to > 0.0,
+              "at least one endpoint must be positive");
+      break;
+    case ScenarioKind::kSpike:
+      curve.at = spec.Param("at", 0.4 * duration_s);
+      curve.width = spec.Param("width", 0.1 * duration_s);
+      curve.mult = spec.Param("mult", 5.0);
+      require(curve.width >= 0.0, "width must be non-negative");
+      require(curve.mult >= 0.0, "mult must be non-negative");
+      break;
+    case ScenarioKind::kClosedLoop:
+      curve.clients = spec.Param("clients", 4.0);
+      curve.think_s = spec.Param("think_ms", 10.0) * 1e-3;
+      curve.service_s = spec.Param("service_ms", 1.0) * 1e-3;
+      require(curve.clients >= 1.0, "need at least one client");
+      require(curve.think_s > 0.0, "think time must be positive");
+      require(curve.service_s >= 0.0,
+              "service estimate must be non-negative");
+      break;
+    case ScenarioKind::kPoisson:
+    case ScenarioKind::kTrace:
+      break;
+  }
+  return curve;
+}
+
+double RateCurve::Rate(double t) const {
+  switch (kind) {
     case ScenarioKind::kPoisson:
       return qps;
-    case ScenarioKind::kDiurnal: {
-      const double period = spec.Param("period", duration_s);
-      const double depth = spec.Param("depth", 0.8);
-      const double phase = spec.Param("phase", 0.0);
-      NSF_CHECK_MSG(period > 0.0, "diurnal period must be positive");
-      NSF_CHECK_MSG(depth >= 0.0 && depth < 1.0,
-                    "diurnal depth must be in [0, 1)");
+    case ScenarioKind::kDiurnal:
       return qps * (1.0 + depth * std::sin(kTwoPi * (t / period + phase)));
-    }
+    case ScenarioKind::kRamp:
+      return qps * (from + (to - from) * t / duration_s);
+    case ScenarioKind::kSpike:
+      return (t >= at && t < at + width) ? qps * mult : qps;
     case ScenarioKind::kBursty:
       throw Error(
           "bursty is stochastic-rate (MMPP); it has no deterministic rate "
           "function — use ScenarioMeanRate");
-    case ScenarioKind::kRamp: {
-      const double from = spec.Param("from", 0.0);
-      const double to = spec.Param("to", 2.0);
-      NSF_CHECK_MSG(from >= 0.0 && to >= 0.0,
-                    "ramp endpoints must be non-negative");
-      return qps * (from + (to - from) * t / duration_s);
-    }
-    case ScenarioKind::kSpike: {
-      const double at = spec.Param("at", 0.4 * duration_s);
-      const double width = spec.Param("width", 0.1 * duration_s);
-      const double mult = spec.Param("mult", 5.0);
-      NSF_CHECK_MSG(width >= 0.0, "spike width must be non-negative");
-      NSF_CHECK_MSG(mult >= 0.0, "spike mult must be non-negative");
-      return (t >= at && t < at + width) ? qps * mult : qps;
-    }
     case ScenarioKind::kClosedLoop:
     case ScenarioKind::kTrace:
-      throw Error("scenario '" + spec.Name() +
-                  "' has no open-loop rate function");
+      break;
   }
-  throw Error("unknown scenario kind");
+  throw Error("scenario '" + std::string(InfoFor(kind).name) +
+              "' has no open-loop rate function");
 }
 
-double ScenarioMeanRate(const ScenarioSpec& spec, double qps,
-                        double duration_s) {
-  switch (spec.kind) {
+double RateCurve::Mean() const {
+  switch (kind) {
     case ScenarioKind::kPoisson:
+    case ScenarioKind::kBursty:  // Normalized by construction (long-run).
       return qps;
     case ScenarioKind::kDiurnal: {
-      const double period = spec.Param("period", duration_s);
-      const double depth = spec.Param("depth", 0.8);
-      const double phase = spec.Param("phase", 0.0);
       // Analytic integral of the sinusoid over [0, duration_s).
       const double integral =
           period / kTwoPi *
@@ -468,95 +440,93 @@ double ScenarioMeanRate(const ScenarioSpec& spec, double qps,
            std::cos(kTwoPi * (duration_s / period + phase)));
       return qps * (1.0 + depth * integral / duration_s);
     }
-    case ScenarioKind::kBursty:
-      return qps;  // Normalized by construction (long-run mean).
     case ScenarioKind::kRamp:
-      return qps * (spec.Param("from", 0.0) + spec.Param("to", 2.0)) / 2.0;
+      return qps * (from + to) / 2.0;
     case ScenarioKind::kSpike: {
-      const double at = spec.Param("at", 0.4 * duration_s);
-      const double width = spec.Param("width", 0.1 * duration_s);
-      const double mult = spec.Param("mult", 5.0);
       const double lo = std::clamp(at, 0.0, duration_s);
       const double hi = std::clamp(at + width, 0.0, duration_s);
       return qps * (1.0 + (mult - 1.0) * (hi - lo) / duration_s);
     }
-    case ScenarioKind::kClosedLoop: {
+    case ScenarioKind::kClosedLoop:
       // Renewal-reward: each client cycles think + residence per request.
-      const double clients = spec.Param("clients", 4.0);
-      const double think_s = spec.Param("think_ms", 10.0) * 1e-3;
-      const double service_s = spec.Param("service_ms", 1.0) * 1e-3;
       return clients / (think_s + service_s);
-    }
     case ScenarioKind::kTrace:
-      throw Error("trace scenarios have no closed-form rate (count the "
-                  "replayed arrivals instead)");
+      break;
   }
-  throw Error("unknown scenario kind");
+  throw Error("trace scenarios have no closed-form rate (count the "
+              "replayed arrivals instead)");
 }
 
-double ScenarioWindowMeanRate(const ScenarioSpec& spec, double qps,
-                              double duration_s, double t0, double t1) {
+double RateCurve::WindowMean(double t0, double t1) const {
   NSF_CHECK_MSG(t1 > t0 && t0 >= 0.0 && t1 <= duration_s,
                 "rate window must be a non-empty slice of [0, duration)");
-  const double width = t1 - t0;
-  switch (spec.kind) {
+  const double window = t1 - t0;
+  switch (kind) {
     case ScenarioKind::kPoisson:
+    case ScenarioKind::kBursty:  // Long-run mean; windows are stochastic.
       return qps;
     case ScenarioKind::kDiurnal: {
-      const double period = spec.Param("period", duration_s);
-      const double depth = spec.Param("depth", 0.8);
-      const double phase = spec.Param("phase", 0.0);
-      NSF_CHECK_MSG(period > 0.0, "diurnal period must be positive");
       // ∫ sin(2π(t/period + phase)) dt over [t0, t1).
       const double integral =
           period / kTwoPi *
           (std::cos(kTwoPi * (t0 / period + phase)) -
            std::cos(kTwoPi * (t1 / period + phase)));
-      return qps * (1.0 + depth * integral / width);
+      return qps * (1.0 + depth * integral / window);
     }
-    case ScenarioKind::kBursty:
-      return qps;  // Long-run mean; windows are stochastic (MMPP).
     case ScenarioKind::kRamp:
       // Linear rate: the window mean is the rate at the window midpoint.
-      return ScenarioRate(spec, qps, duration_s, (t0 + t1) / 2.0);
+      return Rate((t0 + t1) / 2.0);
     case ScenarioKind::kSpike: {
-      const double at = spec.Param("at", 0.4 * duration_s);
-      const double spike_width = spec.Param("width", 0.1 * duration_s);
-      const double mult = spec.Param("mult", 5.0);
       const double lo = std::clamp(at, t0, t1);
-      const double hi = std::clamp(at + spike_width, t0, t1);
-      return qps * (1.0 + (mult - 1.0) * (hi - lo) / width);
+      const double hi = std::clamp(at + width, t0, t1);
+      return qps * (1.0 + (mult - 1.0) * (hi - lo) / window);
     }
     case ScenarioKind::kClosedLoop:
-      return ScenarioMeanRate(spec, qps, duration_s);
     case ScenarioKind::kTrace:
-      throw Error("trace scenarios have no closed-form rate (count the "
-                  "replayed arrivals instead)");
+      return Mean();
   }
   throw Error("unknown scenario kind");
 }
 
-double ScenarioPeakRate(const ScenarioSpec& spec, double qps,
-                        double duration_s) {
-  switch (spec.kind) {
+double RateCurve::Peak() const {
+  switch (kind) {
     case ScenarioKind::kPoisson:
+    case ScenarioKind::kTrace:  // A replayed file has no closed form.
       return qps;
     case ScenarioKind::kDiurnal:
-      return qps * (1.0 + spec.Param("depth", 0.8));
+      return qps * (1.0 + depth);
     case ScenarioKind::kBursty:
       // idle > 1 makes the "off" state the hot one; the pool must absorb
       // whichever state runs faster.
-      return std::max(BurstyOnRate(spec, qps), spec.Param("idle", 0.1) * qps);
+      return std::max(rate_on, idle * qps);
     case ScenarioKind::kRamp:
-      return qps * std::max(spec.Param("from", 0.0), spec.Param("to", 2.0));
+      return qps * std::max(from, to);
     case ScenarioKind::kSpike:
-      return qps * std::max(1.0, spec.Param("mult", 5.0));
+      return qps * std::max(1.0, mult);
     case ScenarioKind::kClosedLoop:
-      return ScenarioMeanRate(spec, qps, duration_s);
-    case ScenarioKind::kTrace:
-      return qps;
+      return Mean();
   }
   throw Error("unknown scenario kind");
+}
+
+double ScenarioRate(const ScenarioSpec& spec, double qps, double duration_s,
+                    double t) {
+  return RateCurve::Resolve(spec, qps, duration_s).Rate(t);
+}
+
+double ScenarioMeanRate(const ScenarioSpec& spec, double qps,
+                        double duration_s) {
+  return RateCurve::Resolve(spec, qps, duration_s).Mean();
+}
+
+double ScenarioWindowMeanRate(const ScenarioSpec& spec, double qps,
+                              double duration_s, double t0, double t1) {
+  return RateCurve::Resolve(spec, qps, duration_s).WindowMean(t0, t1);
+}
+
+double ScenarioPeakRate(const ScenarioSpec& spec, double qps,
+                        double duration_s) {
+  return RateCurve::Resolve(spec, qps, duration_s).Peak();
 }
 
 std::vector<Request> GenerateArrivals(const ScenarioSpec& spec, double qps,
@@ -566,39 +536,21 @@ std::vector<Request> GenerateArrivals(const ScenarioSpec& spec, double qps,
   if (spec.kind != ScenarioKind::kClosedLoop) {
     NSF_CHECK_MSG(qps > 0.0, "qps must be positive");
   }
-  const double total_share = CheckedTotalShare(shares);
+  const WorkloadDraw draw(shares);
+  const RateCurve curve = RateCurve::Resolve(spec, qps, duration_s);
   Rng rng(seed);
 
   switch (spec.kind) {
     case ScenarioKind::kPoisson:
-      return GeneratePoisson(qps, duration_s, rng, shares, total_share);
-    case ScenarioKind::kDiurnal: {
-      const double depth = spec.Param("depth", 0.8);
-      const double ceiling = qps * (1.0 + depth);
-      return GenerateThinned(ceiling, duration_s, rng, shares, total_share,
-                             [&](double t) {
-                               return ScenarioRate(spec, qps, duration_s, t);
-                             });
-    }
+      return GeneratePoisson(qps, duration_s, rng, draw);
+    case ScenarioKind::kDiurnal:
+    case ScenarioKind::kRamp:
+    case ScenarioKind::kSpike:
+      return GenerateThinned(curve, rng, draw);
     case ScenarioKind::kBursty:
-      return GenerateBursty(spec, qps, duration_s, rng, shares, total_share);
-    case ScenarioKind::kRamp: {
-      const double ceiling =
-          qps * std::max(spec.Param("from", 0.0), spec.Param("to", 2.0));
-      return GenerateThinned(ceiling, duration_s, rng, shares, total_share,
-                             [&](double t) {
-                               return ScenarioRate(spec, qps, duration_s, t);
-                             });
-    }
-    case ScenarioKind::kSpike: {
-      const double ceiling = qps * std::max(1.0, spec.Param("mult", 5.0));
-      return GenerateThinned(ceiling, duration_s, rng, shares, total_share,
-                             [&](double t) {
-                               return ScenarioRate(spec, qps, duration_s, t);
-                             });
-    }
+      return GenerateBursty(curve, rng, draw);
     case ScenarioKind::kClosedLoop:
-      return GenerateClosedLoop(spec, duration_s, rng, shares, total_share);
+      return GenerateClosedLoop(curve, rng, draw);
     case ScenarioKind::kTrace:
       throw Error(
           "trace scenarios replay a file — resolve workload names and call "

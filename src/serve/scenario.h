@@ -75,6 +75,34 @@ struct ScenarioSpec {
   }
 };
 
+/// A scenario's parameters for one run at `qps` over `duration_s`, read
+/// from the spec, duration-relative defaults filled in, and range-checked
+/// once. Evaluating it is arithmetic only: the thinned generators call
+/// `Rate` for every candidate, and ScenarioRate and its siblings below are
+/// its queries, so each kind has one formula. Bursty and closed-loop carry
+/// their dwell and session parameters here too.
+struct RateCurve {
+  /// Throws on out-of-range parameters for `spec.kind` — the ranges
+  /// ScenarioSpec::Parse enforces, so a hand-built spec cannot skip them.
+  static RateCurve Resolve(const ScenarioSpec& spec, double qps,
+                           double duration_s);
+
+  double Rate(double t) const;                     // ScenarioRate.
+  double Mean() const;                             // ScenarioMeanRate.
+  double WindowMean(double t0, double t1) const;   // ScenarioWindowMeanRate.
+  double Peak() const;                             // ScenarioPeakRate.
+
+  ScenarioKind kind = ScenarioKind::kPoisson;
+  double qps = 0.0;
+  double duration_s = 0.0;
+  double period = 0.0, depth = 0.0, phase = 0.0;   // diurnal
+  double on_s = 0.0, off_s = 0.0, idle = 0.0;      // bursty
+  double rate_on = 0.0;                            // bursty, normalized
+  double from = 0.0, to = 0.0;                     // ramp
+  double at = 0.0, width = 0.0, mult = 0.0;        // spike
+  double clients = 0.0, think_s = 0.0, service_s = 0.0;  // closed
+};
+
 /// Instantaneous arrival rate of `spec` at virtual time `t` for a run driven
 /// at `qps` over `duration_s` — the closed form the generators sample from
 /// and the tests integrate against. Closed-loop and trace scenarios have no

@@ -1,6 +1,12 @@
 // Unit tests for src/common: errors, math helpers, RNG, table, tensor.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <random>
+#include <set>
+#include <vector>
+
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/rng.h"
@@ -111,6 +117,126 @@ TEST(RngTest, GaussianHasRoughlyCorrectMoments) {
   const double var = sum_sq / kN - mean * mean;
   EXPECT_NEAR(mean, 2.0, 0.1);
   EXPECT_NEAR(var, 9.0, 0.5);
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+TEST(RngTest, WordsMatchStdMt19937_64) {
+  // The block engine must emit the std engine's word sequence exactly,
+  // across many refills and for edge seeds.
+  constexpr int kDraws = 10'000'000;
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{7},
+        std::uint64_t{42}, std::uint64_t{0x5f3759df}, ~std::uint64_t{0}}) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    int first_mismatch = -1;
+    for (int i = 0; i < kDraws && first_mismatch < 0; ++i) {
+      if (rng.Word() != reference()) {
+        first_mismatch = i;
+      }
+    }
+    EXPECT_EQ(first_mismatch, -1) << "seed " << seed;
+  }
+}
+
+TEST(RngTest, DistributionsMatchStdBitForBit) {
+  // Every draw kind, interleaved, against the std distributions on a std
+  // engine: Uniform is spelled out in rng.h, the rest are std
+  // distributions on the block engine — both must stay in lockstep.
+  for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{42}}) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 200'000; ++i) {
+      ASSERT_EQ(Bits(rng.Uniform()),
+                Bits(std::uniform_real_distribution<double>(0.0, 1.0)(
+                    reference)))
+          << i;
+      ASSERT_EQ(Bits(rng.Uniform(-2.5, 7.25)),
+                Bits(std::uniform_real_distribution<double>(-2.5, 7.25)(
+                    reference)))
+          << i;
+      ASSERT_EQ(rng.UniformInt(-3, 1000),
+                std::uniform_int_distribution<std::int64_t>(-3, 1000)(
+                    reference))
+          << i;
+      ASSERT_EQ(Bits(rng.Gaussian(2.0, 3.0)),
+                Bits(std::normal_distribution<double>(2.0, 3.0)(reference)))
+          << i;
+      ASSERT_EQ(rng.Bernoulli(0.3),
+                std::bernoulli_distribution(0.3)(reference))
+          << i;
+    }
+  }
+}
+
+// A generator that yields one fixed word, to feed the uniform transform
+// chosen inputs through libstdc++'s generate_canonical.
+struct FixedWord {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() const { return word; }
+  result_type word;
+};
+
+double CanonicalOf(std::uint64_t word) {
+  FixedWord generator{word};
+  return std::generate_canonical<double, 53>(generator);
+}
+
+TEST(RngTest, UnitTransformMatchesGenerateCanonicalOnEdgeWords) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  const double below_one = std::nextafter(1.0, 0.0);
+  EXPECT_EQ(Bits(Rng::UnitFromWord(0)), Bits(0.0));
+  EXPECT_EQ(Bits(Rng::UnitFromWord(kMax)), Bits(below_one));
+  // Words from 2^64 - 2^10 up (the tie included) round to 2^64, i.e. to
+  // 1.0 before the clamp; the word just below rounds down to 2^64 - 2^11,
+  // which scales to the same largest double below 1.
+  const std::uint64_t rounds_up = kMax - (std::uint64_t{1} << 10) + 1;
+  EXPECT_EQ(static_cast<double>(rounds_up), 0x1p64);
+  EXPECT_EQ(static_cast<double>(rounds_up - 1), 0x1p64 - 0x1p11);
+  EXPECT_EQ(Bits(Rng::UnitFromWord(rounds_up)), Bits(below_one));
+  EXPECT_EQ(Bits(Rng::UnitFromWord(rounds_up - 1)), Bits(below_one));
+  std::vector<std::uint64_t> words = {0,
+                                      1,
+                                      2,
+                                      kMax,
+                                      kMax - 1,
+                                      rounds_up,
+                                      rounds_up - 1,
+                                      rounds_up - 2,
+                                      std::uint64_t{1} << 53,
+                                      (std::uint64_t{1} << 53) + 1,
+                                      std::uint64_t{1} << 63,
+                                      (std::uint64_t{1} << 63) - 1,
+                                      (std::uint64_t{1} << 63) + 1,
+                                      0xffffffffull,
+                                      0x100000000ull};
+  // Every low-12-bit pattern (the bits rounding looks at) under random
+  // high bits, including ties to even.
+  std::mt19937_64 high_bits(5);
+  for (std::uint64_t low = 0; low < 4096; ++low) {
+    for (int k = 0; k < 16; ++k) {
+      words.push_back((high_bits() & ~std::uint64_t{0xfff}) | low);
+    }
+    words.push_back(~std::uint64_t{0xfff} | low);
+  }
+  for (const std::uint64_t word : words) {
+    const double unit = Rng::UnitFromWord(word);
+    ASSERT_EQ(Bits(unit), Bits(CanonicalOf(word))) << std::hex << word;
+    ASSERT_GE(unit, 0.0);
+    ASSERT_LT(unit, 1.0);
+    FixedWord generator{word};
+    ASSERT_EQ(Bits(unit * (3.5 - -1.25) + -1.25),
+              Bits(std::uniform_real_distribution<double>(-1.25, 3.5)(
+                  generator)))
+        << std::hex << word;
+  }
 }
 
 TEST(TableTest, RendersAlignedColumns) {

@@ -3,7 +3,13 @@
 // JSON trace-replay round-trips, and spec parsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -15,6 +21,12 @@ namespace nsflow::serve {
 namespace {
 
 const std::vector<double> kOneWorkload = {1.0};
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
 
 std::vector<std::string> AllScenarioSpecs() {
   return {"poisson",
@@ -86,7 +98,268 @@ TEST(ScenarioTest, DefaultPoissonMatchesLegacyEngineStream) {
   }
 }
 
+TEST(ScenarioTest, FirstDrawsArePinnedByBitPattern) {
+  // The first arrivals of each generator at seed 42 (qps 1000, 1 s, a
+  // three-workload mix), by bit pattern. A toolchain whose libm or engine
+  // draws differently fails here, on the draw, not only on a digest.
+  struct Pin {
+    std::uint64_t arrival_bits;
+    WorkloadId workload;
+  };
+  const std::vector<std::pair<std::string, std::vector<Pin>>> pins = {
+      {"poisson",
+       {{0x3f570df0960157fbULL, 1},
+        {0x3f66f45012be0028ULL, 0},
+        {0x3f750b71365bcd96ULL, 0},
+        {0x3f788b9d120875a0ULL, 0}}},
+      {"diurnal",
+       {{0x3f59813c869a3910ULL, 2},
+        {0x3f5ea6c34d99f3f3ULL, 0},
+        {0x3f5ec3cc073c5791ULL, 1},
+        {0x3f71fbfeb586128eULL, 0}}},
+      {"bursty",
+       {{0x3f320c5fc13bbd88ULL, 1},
+        {0x3f34a4a71d667d8dULL, 2},
+        {0x3f36649c567cd414ULL, 0},
+        {0x3f3ea87cf3ab277eULL, 0}}},
+      {"ramp",
+       {{0x3fa11d0a1a417aa3ULL, 1},
+        {0x3faea3405f5f0390ULL, 0},
+        {0x3faea63a474e89dbULL, 0},
+        {0x3faeb7c0ed86f35bULL, 0}}},
+      {"spike",
+       {{0x3f425d0cdbcb3354ULL, 2},
+        {0x3f494fb4c28efb16ULL, 0},
+        {0x3f5aed2bc9721be7ULL, 1},
+        {0x3f5bcd418c7bc5d2ULL, 0}}},
+      {"closed",
+       {{0x3f6011fba1940d47ULL, 1},
+        {0x3f8228af6171dfbaULL, 0},
+        {0x3f84ab46509f3377ULL, 1},
+        {0x3f8524620de23283ULL, 0}}},
+  };
+  for (const auto& [text, expected] : pins) {
+    const auto arrivals = GenerateArrivals(ScenarioSpec::Parse(text), 1000.0,
+                                           1.0, 42, {0.6, 0.3, 0.1});
+    ASSERT_GE(arrivals.size(), expected.size()) << text;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(Bits(arrivals[i].arrival_s), expected[i].arrival_bits)
+          << text << " arrival " << i;
+      EXPECT_EQ(arrivals[i].workload, expected[i].workload)
+          << text << " arrival " << i;
+    }
+  }
+}
+
 // -------------------------------------------------------- rate envelopes
+
+// The per-call formulas the rate queries used before the curve was
+// resolved once per run, copied here: the resolved curve must reproduce
+// them bit for bit.
+namespace per_call {
+
+constexpr double kTwoPi = 6.283185307179586476925286766559;
+
+double Rate(const ScenarioSpec& spec, double qps, double duration_s,
+            double t) {
+  switch (spec.kind) {
+    case ScenarioKind::kDiurnal: {
+      const double period = spec.Param("period", duration_s);
+      const double depth = spec.Param("depth", 0.8);
+      const double phase = spec.Param("phase", 0.0);
+      return qps * (1.0 + depth * std::sin(kTwoPi * (t / period + phase)));
+    }
+    case ScenarioKind::kRamp: {
+      const double from = spec.Param("from", 0.0);
+      const double to = spec.Param("to", 2.0);
+      return qps * (from + (to - from) * t / duration_s);
+    }
+    case ScenarioKind::kSpike: {
+      const double at = spec.Param("at", 0.4 * duration_s);
+      const double width = spec.Param("width", 0.1 * duration_s);
+      const double mult = spec.Param("mult", 5.0);
+      return (t >= at && t < at + width) ? qps * mult : qps;
+    }
+    default:
+      return qps;
+  }
+}
+
+double BurstyOnRate(const ScenarioSpec& spec, double qps) {
+  const double on_s = spec.Param("on", 0.05);
+  const double off_s = spec.Param("off", 0.15);
+  const double idle = spec.Param("idle", 0.1);
+  return (qps * (on_s + off_s) - idle * qps * off_s) / on_s;
+}
+
+double MeanRate(const ScenarioSpec& spec, double qps, double duration_s) {
+  switch (spec.kind) {
+    case ScenarioKind::kDiurnal: {
+      const double period = spec.Param("period", duration_s);
+      const double depth = spec.Param("depth", 0.8);
+      const double phase = spec.Param("phase", 0.0);
+      const double integral =
+          period / kTwoPi *
+          (std::cos(kTwoPi * phase) -
+           std::cos(kTwoPi * (duration_s / period + phase)));
+      return qps * (1.0 + depth * integral / duration_s);
+    }
+    case ScenarioKind::kRamp:
+      return qps * (spec.Param("from", 0.0) + spec.Param("to", 2.0)) / 2.0;
+    case ScenarioKind::kSpike: {
+      const double at = spec.Param("at", 0.4 * duration_s);
+      const double width = spec.Param("width", 0.1 * duration_s);
+      const double mult = spec.Param("mult", 5.0);
+      const double lo = std::clamp(at, 0.0, duration_s);
+      const double hi = std::clamp(at + width, 0.0, duration_s);
+      return qps * (1.0 + (mult - 1.0) * (hi - lo) / duration_s);
+    }
+    case ScenarioKind::kClosedLoop: {
+      const double clients = spec.Param("clients", 4.0);
+      const double think_s = spec.Param("think_ms", 10.0) * 1e-3;
+      const double service_s = spec.Param("service_ms", 1.0) * 1e-3;
+      return clients / (think_s + service_s);
+    }
+    default:
+      return qps;
+  }
+}
+
+double WindowMeanRate(const ScenarioSpec& spec, double qps,
+                      double duration_s, double t0, double t1) {
+  const double width = t1 - t0;
+  switch (spec.kind) {
+    case ScenarioKind::kDiurnal: {
+      const double period = spec.Param("period", duration_s);
+      const double depth = spec.Param("depth", 0.8);
+      const double phase = spec.Param("phase", 0.0);
+      const double integral =
+          period / kTwoPi *
+          (std::cos(kTwoPi * (t0 / period + phase)) -
+           std::cos(kTwoPi * (t1 / period + phase)));
+      return qps * (1.0 + depth * integral / width);
+    }
+    case ScenarioKind::kRamp:
+      return Rate(spec, qps, duration_s, (t0 + t1) / 2.0);
+    case ScenarioKind::kSpike: {
+      const double at = spec.Param("at", 0.4 * duration_s);
+      const double spike_width = spec.Param("width", 0.1 * duration_s);
+      const double mult = spec.Param("mult", 5.0);
+      const double lo = std::clamp(at, t0, t1);
+      const double hi = std::clamp(at + spike_width, t0, t1);
+      return qps * (1.0 + (mult - 1.0) * (hi - lo) / width);
+    }
+    case ScenarioKind::kClosedLoop:
+      return MeanRate(spec, qps, duration_s);
+    default:
+      return qps;
+  }
+}
+
+double PeakRate(const ScenarioSpec& spec, double qps, double duration_s) {
+  switch (spec.kind) {
+    case ScenarioKind::kDiurnal:
+      return qps * (1.0 + spec.Param("depth", 0.8));
+    case ScenarioKind::kBursty:
+      return std::max(BurstyOnRate(spec, qps), spec.Param("idle", 0.1) * qps);
+    case ScenarioKind::kRamp:
+      return qps * std::max(spec.Param("from", 0.0), spec.Param("to", 2.0));
+    case ScenarioKind::kSpike:
+      return qps * std::max(1.0, spec.Param("mult", 5.0));
+    case ScenarioKind::kClosedLoop:
+      return MeanRate(spec, qps, duration_s);
+    default:
+      return qps;
+  }
+}
+
+}  // namespace per_call
+
+TEST(ScenarioTest, RateCurveMatchesPerCallFormulas) {
+  for (const std::string& text : AllScenarioSpecs()) {
+    const ScenarioSpec spec = ScenarioSpec::Parse(text);
+    for (const double duration_s : {1.0, 2.5}) {
+      const double qps = 700.0;
+      const RateCurve curve = RateCurve::Resolve(spec, qps, duration_s);
+      const bool open_loop = spec.kind != ScenarioKind::kBursty &&
+                             spec.kind != ScenarioKind::kClosedLoop;
+      for (int i = 0; i <= 1000; ++i) {
+        const double t = duration_s * i / 1000.0;
+        if (open_loop) {
+          ASSERT_EQ(Bits(curve.Rate(t)),
+                    Bits(per_call::Rate(spec, qps, duration_s, t)))
+              << text << " t=" << t;
+          ASSERT_EQ(Bits(ScenarioRate(spec, qps, duration_s, t)),
+                    Bits(curve.Rate(t)))
+              << text << " t=" << t;
+        }
+        if (i > 0) {
+          const double t0 = t * 0.25;
+          ASSERT_EQ(Bits(curve.WindowMean(t0, t)),
+                    Bits(per_call::WindowMeanRate(spec, qps, duration_s, t0,
+                                                  t)))
+              << text << " [" << t0 << ", " << t << ")";
+          ASSERT_EQ(Bits(ScenarioWindowMeanRate(spec, qps, duration_s, t0, t)),
+                    Bits(curve.WindowMean(t0, t)));
+        }
+      }
+      if (spec.kind == ScenarioKind::kSpike) {
+        // The window edges themselves.
+        const double at = spec.Param("at", 0.4 * duration_s);
+        const double edge = at + spec.Param("width", 0.1 * duration_s);
+        for (const double t : {std::nextafter(at, 0.0), at,
+                               std::nextafter(edge, 0.0), edge}) {
+          EXPECT_EQ(Bits(curve.Rate(t)),
+                    Bits(per_call::Rate(spec, qps, duration_s, t)))
+              << text << " t=" << t;
+        }
+      }
+      EXPECT_EQ(Bits(curve.Mean()),
+                Bits(per_call::MeanRate(spec, qps, duration_s)))
+          << text;
+      EXPECT_EQ(Bits(ScenarioMeanRate(spec, qps, duration_s)),
+                Bits(curve.Mean()))
+          << text;
+      EXPECT_EQ(Bits(curve.Peak()),
+                Bits(per_call::PeakRate(spec, qps, duration_s)))
+          << text;
+      EXPECT_EQ(Bits(ScenarioPeakRate(spec, qps, duration_s)),
+                Bits(curve.Peak()))
+          << text;
+    }
+  }
+}
+
+TEST(ScenarioTest, InvalidRateParametersThrowBeforeDrawing) {
+  // Hand-built specs skip Parse; resolving the curve must still reject
+  // them, so generation fails before its first draw.
+  const auto spec_with = [](ScenarioKind kind,
+                            std::map<std::string, double> params) {
+    ScenarioSpec spec;
+    spec.kind = kind;
+    spec.params = std::move(params);
+    return spec;
+  };
+  const std::vector<ScenarioSpec> invalid = {
+      spec_with(ScenarioKind::kDiurnal, {{"depth", 1.0}}),
+      spec_with(ScenarioKind::kDiurnal, {{"depth", -0.1}}),
+      spec_with(ScenarioKind::kDiurnal, {{"period", 0.0}}),
+      spec_with(ScenarioKind::kRamp, {{"from", -1.0}}),
+      spec_with(ScenarioKind::kRamp, {{"from", 0.0}, {"to", 0.0}}),
+      spec_with(ScenarioKind::kSpike, {{"width", -0.1}}),
+      spec_with(ScenarioKind::kSpike, {{"mult", -2.0}}),
+      spec_with(ScenarioKind::kBursty, {{"idle", 7.0}}),
+      spec_with(ScenarioKind::kClosedLoop, {{"clients", 0.0}}),
+  };
+  for (const ScenarioSpec& spec : invalid) {
+    EXPECT_THROW(RateCurve::Resolve(spec, 500.0, 1.0), Error)
+        << spec.ToString();
+    EXPECT_THROW(GenerateArrivals(spec, 500.0, 1.0, 7, kOneWorkload), Error)
+        << spec.ToString();
+    EXPECT_THROW(ScenarioSpec::Parse(spec.ToString()), Error)
+        << spec.ToString();
+  }
+}
 
 // Expected-count checks: the generated count must sit within ~5 standard
 // deviations of ScenarioMeanRate * duration (Poisson sd = sqrt(mean)).

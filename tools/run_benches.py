@@ -43,6 +43,12 @@ of ServeStats::Summarize over a population shaped like the 1024-replica
 run's, divided by that run's wall time, gated at its `summarize_gate`
 (0.15) the same way.
 
+Arrival gate: BENCH_serve.json's `arrivals` section records host ns per
+generated arrival for stationary Poisson and for diurnal:depth=0.8, each
+at 1M arrivals on a two-workload mix, and their `diurnal_over_poisson`
+ratio from the same process; the ratio is gated at its artifact's `gate`
+on every run, and all three ride in the delta report as wall rows.
+
 Usage:
   tools/run_benches.py [--build-dir build] [--out BENCH_serve.json]
                        [--plan-out BENCH_plan.json] [--smoke] [--full]
@@ -153,6 +159,16 @@ def collect_metrics(serve_report, plan_report):
                     metrics.append((f"{section}.summarize_share",
                                     scale["summarize_share"], "lower",
                                     "wall"))
+        arrivals = serve_report.get("arrivals")
+        if arrivals is not None:
+            metrics += [
+                ("arrivals.poisson_ns", arrivals["poisson_ns"], "lower",
+                 "wall"),
+                ("arrivals.diurnal_ns", arrivals["diurnal_ns"], "lower",
+                 "wall"),
+                ("arrivals.diurnal_over_poisson",
+                 arrivals["diurnal_over_poisson"], "lower", "wall"),
+            ]
         event_core = serve_report.get("event_core")
         if event_core is not None:
             metrics += [
@@ -374,6 +390,16 @@ def main():
                 print("error: the run summary takes more than its gated "
                       "share of the serve run", file=sys.stderr)
                 return 1
+    arrivals = report.get("arrivals")
+    if arrivals is not None:
+        print(f"arrivals: poisson {arrivals['poisson_ns']:.1f} ns, diurnal "
+              f"{arrivals['diurnal_ns']:.1f} ns per arrival; ratio "
+              f"{arrivals['diurnal_over_poisson']:.2f} "
+              f"(gate {arrivals['gate']:.1f})")
+        if arrivals["diurnal_over_poisson"] > arrivals["gate"]:
+            print("error: a thinned arrival costs more than its gated "
+                  "multiple of a Poisson arrival", file=sys.stderr)
+            return 1
     event_core = report.get("event_core")
     if event_core is not None:
         if not event_core["ok"]:
