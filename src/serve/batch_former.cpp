@@ -59,9 +59,23 @@ Batch MultiBatchFormer::CloseLane(WorkloadId w, double formed_s,
   return batch;
 }
 
-std::vector<WorkloadId> MultiBatchFormer::ExpiredLanes(
-    double now, const std::vector<double>& busy_until) const {
-  std::vector<WorkloadId> expired;
+bool MultiBatchFormer::ClosesBefore(WorkloadId a, WorkloadId b) const {
+  // Lane priority first (critical preempts batch under admission tiers),
+  // then oldest head-of-line; workload id breaks exact ties. With all
+  // priorities at the default 0 this is the legacy fairness order.
+  const int pa = lane_priority_[static_cast<std::size_t>(a)];
+  const int pb = lane_priority_[static_cast<std::size_t>(b)];
+  if (pa != pb) {
+    return pa < pb;
+  }
+  const double ha = lanes_[static_cast<std::size_t>(a)].front().arrival_s;
+  const double hb = lanes_[static_cast<std::size_t>(b)].front().arrival_s;
+  return ha != hb ? ha < hb : a < b;
+}
+
+void MultiBatchFormer::ExpiredLanes(double now,
+                                    const std::vector<double>& busy_until) {
+  expired_.clear();
   for (int w = 0; w < workloads(); ++w) {
     const auto& lane = lanes_[static_cast<std::size_t>(w)];
     if (lane.empty()) {
@@ -71,81 +85,69 @@ std::vector<WorkloadId> MultiBatchFormer::ExpiredLanes(
                             ? busy_until[static_cast<std::size_t>(w)]
                             : 0.0;
     if (now >= std::max(Deadline(w), busy)) {
-      expired.push_back(w);
+      expired_.push_back(w);
     }
   }
-  // Lane priority first (critical preempts batch under admission tiers),
-  // then oldest head-of-line; workload id breaks exact ties. With all
-  // priorities at the default 0 this is the legacy fairness order.
-  std::sort(expired.begin(), expired.end(),
-            [this](WorkloadId a, WorkloadId b) {
-              const int pa = lane_priority_[static_cast<std::size_t>(a)];
-              const int pb = lane_priority_[static_cast<std::size_t>(b)];
-              if (pa != pb) {
-                return pa < pb;
-              }
-              const double ha = lanes_[static_cast<std::size_t>(a)].front()
-                                    .arrival_s;
-              const double hb = lanes_[static_cast<std::size_t>(b)].front()
-                                    .arrival_s;
-              return ha != hb ? ha < hb : a < b;
-            });
-  return expired;
+  std::sort(expired_.begin(), expired_.end(),
+            [this](WorkloadId a, WorkloadId b) { return ClosesBefore(a, b); });
 }
 
-std::vector<Batch> MultiBatchFormer::Add(
+std::vector<Batch>& MultiBatchFormer::Add(
     const Request& request, const std::vector<double>& busy_until) {
   NSF_CHECK_MSG(request.workload >= 0 && request.workload < workloads(),
                 "request targets an unregistered workload lane");
-  std::vector<Batch> closed;
+  closed_.clear();
   // This arrival proves virtual time reached `request.arrival_s`: every lane
   // whose effective deadline (stretched to its busy horizon) has passed
   // closes at that deadline, not at the arrival — a lull in one workload's
   // traffic must not delay another workload's formed batch.
-  for (const WorkloadId w : ExpiredLanes(request.arrival_s, busy_until)) {
+  ExpiredLanes(request.arrival_s, busy_until);
+  for (const WorkloadId w : expired_) {
     const double busy = static_cast<std::size_t>(w) < busy_until.size()
                             ? busy_until[static_cast<std::size_t>(w)]
                             : 0.0;
-    closed.push_back(CloseLane(w, std::max(Deadline(w), busy),
-                               BatchCloseReason::kDeadline));
+    closed_.push_back(CloseLane(w, std::max(Deadline(w), busy),
+                                BatchCloseReason::kDeadline));
   }
   auto& lane = lanes_[static_cast<std::size_t>(request.workload)];
   lane.push_back(request);
   if (static_cast<std::int64_t>(lane.size()) >=
       policy(request.workload).max_batch) {
-    closed.push_back(CloseLane(request.workload, request.arrival_s,
-                               BatchCloseReason::kSizeCap));
+    closed_.push_back(CloseLane(request.workload, request.arrival_s,
+                                BatchCloseReason::kSizeCap));
   }
-  return closed;
+  return closed_;
 }
 
-std::vector<Batch> MultiBatchFormer::Flush(double now) {
-  std::vector<WorkloadId> order;
+std::vector<Batch>& MultiBatchFormer::Flush(double now) {
+  closed_.clear();
+  expired_.clear();
   for (int w = 0; w < workloads(); ++w) {
     if (!lanes_[static_cast<std::size_t>(w)].empty()) {
-      order.push_back(w);
+      expired_.push_back(w);
     }
   }
-  std::sort(order.begin(), order.end(), [this](WorkloadId a, WorkloadId b) {
-    const int pa = lane_priority_[static_cast<std::size_t>(a)];
-    const int pb = lane_priority_[static_cast<std::size_t>(b)];
-    if (pa != pb) {
-      return pa < pb;
-    }
-    const double ha = lanes_[static_cast<std::size_t>(a)].front().arrival_s;
-    const double hb = lanes_[static_cast<std::size_t>(b)].front().arrival_s;
-    return ha != hb ? ha < hb : a < b;
-  });
-  std::vector<Batch> closed;
-  for (const WorkloadId w : order) {
+  std::sort(expired_.begin(), expired_.end(),
+            [this](WorkloadId a, WorkloadId b) { return ClosesBefore(a, b); });
+  for (const WorkloadId w : expired_) {
     // No later than the lane's deadline, no earlier than its newest
     // pending arrival (a batch cannot form before its requests exist).
     const double formed =
         std::max(lanes_[static_cast<std::size_t>(w)].back().arrival_s,
                  std::min(now, Deadline(w)));
-    closed.push_back(CloseLane(w, formed, BatchCloseReason::kFlush));
+    closed_.push_back(CloseLane(w, formed, BatchCloseReason::kFlush));
   }
-  return closed;
+  return closed_;
+}
+
+double MultiBatchFormer::OldestPending() const {
+  double oldest = std::numeric_limits<double>::infinity();
+  for (const auto& lane : lanes_) {
+    if (!lane.empty()) {
+      oldest = std::min(oldest, lane.front().arrival_s);
+    }
+  }
+  return oldest;
 }
 
 double MultiBatchFormer::Deadline(WorkloadId w) const {
@@ -190,12 +192,11 @@ void MultiBatchFormer::Recycle(std::vector<Request>&& storage) {
   if (storage.capacity() == 0) {
     return;
   }
-  // Bound the stash at one spare per lane — enough to cover the worst
-  // case of every lane closing at one arrival, without hoarding capacity
-  // from a transient burst forever.
-  if (spares_.size() >= lanes_.size()) {
-    return;
-  }
+  // Every vector stashed here held a batch that was in flight, and a new
+  // one is only grown while the stash is empty, so the stash never holds
+  // more than the peak number of batches in flight at once: storage that
+  // existed at that peak anyway. Deferred commits (fault runs) keep many
+  // batches in flight, and a bounded stash would free and regrow them.
   storage.clear();
   spares_.push_back(std::move(storage));
 }

@@ -56,15 +56,20 @@ class MultiBatchFormer {
   /// Feed the next request (global arrival order). `busy_until[w]` is the
   /// earliest virtual time a replica able to serve workload `w` frees up
   /// (0 when one is already idle); a lane's wait deadline stretches to its
-  /// busy horizon. Returns every
-  /// batch this arrival closed, in fairness order.
-  std::vector<Batch> Add(const Request& request,
-                         const std::vector<double>& busy_until);
+  /// busy horizon. Returns every batch this arrival closed, in fairness
+  /// order, in a buffer the former owns and reuses: the next Add or Flush
+  /// overwrites it, and the caller may move the batches out.
+  std::vector<Batch>& Add(const Request& request,
+                          const std::vector<double>& busy_until);
 
   /// Close all pending lanes at `now` (stream drained), fairness order.
   /// Each lane closes no later than its wait deadline and no earlier than
-  /// its newest pending arrival.
-  std::vector<Batch> Flush(double now);
+  /// its newest pending arrival. Returns the same reused buffer as Add.
+  std::vector<Batch>& Flush(double now);
+
+  /// Arrival time of the oldest request pending in any lane (+inf when
+  /// every lane is empty). No batch formed later can form before it.
+  double OldestPending() const;
 
   /// Virtual deadline of workload `w`'s pending batch (+inf when empty).
   double Deadline(WorkloadId w) const;
@@ -103,15 +108,19 @@ class MultiBatchFormer {
 
  private:
   Batch CloseLane(WorkloadId w, double formed_s, BatchCloseReason reason);
-  /// Lanes past their effective deadline at time `now`, fairness-ordered.
-  std::vector<WorkloadId> ExpiredLanes(double now,
-                                       const std::vector<double>& busy_until)
-      const;
+  /// Fill `expired_` with the lanes past their effective deadline at time
+  /// `now`, fairness-ordered.
+  void ExpiredLanes(double now, const std::vector<double>& busy_until);
+  /// Fairness order: lane priority, then oldest head-of-line, then id.
+  bool ClosesBefore(WorkloadId a, WorkloadId b) const;
 
   std::vector<BatchPolicy> policies_;        // One per lane.
   std::vector<std::vector<Request>> lanes_;  // Pending, one lane/workload.
   std::vector<int> lane_priority_;           // Close order key; default 0.
   std::vector<std::vector<Request>> spares_;  // Recycled lane storage.
+  // Reused per call, so forming allocates nothing in the steady state.
+  std::vector<Batch> closed_;        // What Add / Flush return.
+  std::vector<WorkloadId> expired_;  // ExpiredLanes' result.
   // Resolved by AttachMetrics; null = metrics off.
   obs::Counter* close_size_cap_ = nullptr;
   obs::Counter* close_deadline_ = nullptr;

@@ -294,50 +294,54 @@ RouteDecision ClusterPool::Route(const Batch& batch) const {
     // Candidate nodes: the ones holding at least one live capable replica
     // right now (a fully failed/drained node drops out of the rotation).
     // No candidate at all — e.g. mid-outage — falls back to home, where
-    // ServerPool's own schedule stretches the wait.
-    std::vector<int> capable;
-    capable.reserve(static_cast<std::size_t>(nodes_));
-    for (int n = 0; n < nodes_; ++n) {
-      if (pool_.NodeCanServe(batch.workload, n)) {
-        capable.push_back(n);
+    // ServerPool's own schedule stretches the wait. Both policies walk the
+    // nodes in id order, so routing builds no candidate list.
+    if (spec_.policy == ClusterRouterPolicy::kHash) {
+      // Sticky, schedule-oblivious spread over the capable nodes keyed by
+      // (workload, lead request id) — the consistent-hash policy: the
+      // k-th capable node, k = key mod the capable count.
+      int capable = 0;
+      for (int n = 0; n < nodes_; ++n) {
+        capable += pool_.NodeCanServe(batch.workload, n) ? 1 : 0;
       }
-    }
-    if (!capable.empty()) {
-      if (spec_.policy == ClusterRouterPolicy::kHash) {
-        // Sticky, schedule-oblivious spread over the capable nodes keyed
-        // by (workload, lead request id) — the consistent-hash policy.
+      if (capable > 0) {
         const std::uint64_t lead =
             batch.requests.empty()
                 ? 0
                 : static_cast<std::uint64_t>(batch.requests.front().id);
         const std::uint64_t key =
             Mix64((static_cast<std::uint64_t>(batch.workload) << 32) ^ lead);
-        route.node = capable[key % capable.size()];
-      } else {
-        // Least-loaded: earliest projected start including the request
-        // transfer a remote choice must wait for, plus the locality-
-        // affinity penalty on leaving home. Ties to the lowest node id.
-        const double in_s = network_.TransferSeconds(
-            network_.RequestBytes(batch.workload, batch.size()));
-        int best = capable.front();
-        double best_score = 0.0;
-        bool first = true;
-        for (const int n : capable) {
-          const bool remote = n != route.home;
-          const double ready =
-              batch.formed_s + (remote ? in_s : 0.0);
-          double score =
-              std::max(ready, pool_.EarliestFree(batch.workload, n));
-          if (remote) {
-            score += spec_.affinity() * in_s;
-          }
-          if (first || score < best_score) {
-            best = n;
-            best_score = score;
-            first = false;
+        auto k = static_cast<int>(key % static_cast<std::uint64_t>(capable));
+        for (int n = 0; n < nodes_; ++n) {
+          if (pool_.NodeCanServe(batch.workload, n) && k-- == 0) {
+            route.node = n;
+            break;
           }
         }
-        route.node = best;
+      }
+    } else {
+      // Least-loaded: earliest projected start including the request
+      // transfer a remote choice must wait for, plus the locality-
+      // affinity penalty on leaving home. Ties to the lowest node id.
+      const double in_s = network_.TransferSeconds(
+          network_.RequestBytes(batch.workload, batch.size()));
+      double best_score = 0.0;
+      bool first = true;
+      for (int n = 0; n < nodes_; ++n) {
+        if (!pool_.NodeCanServe(batch.workload, n)) {
+          continue;
+        }
+        const bool remote = n != route.home;
+        const double ready = batch.formed_s + (remote ? in_s : 0.0);
+        double score = std::max(ready, pool_.EarliestFree(batch.workload, n));
+        if (remote) {
+          score += spec_.affinity() * in_s;
+        }
+        if (first || score < best_score) {
+          route.node = n;
+          best_score = score;
+          first = false;
+        }
       }
     }
   }

@@ -161,8 +161,9 @@ struct PipelineContext {
   // virtual clock, so a failure must be able to *abort* everything the
   // schedule had placed on the dead replica past the failure instant and
   // re-enqueue it. In deferred mode each dispatched batch's stats/spans
-  // are held until the clock provably passes its completion; fault-free
-  // runs commit inline — the exact pre-adversity path, bit-identical.
+  // are held until the clock provably passes its completion (the
+  // settlement rule in HandleArrival); fault-free runs commit inline —
+  // the exact pre-adversity path, bit-identical.
   std::vector<AdversityEvent> env;
   std::size_t env_next = 0;
   bool defer_commits = false;
@@ -175,10 +176,22 @@ struct PipelineContext {
   // Deferred commits ride pooled intrusive nodes (event_core::NodePool): a
   // fault run churns through thousands of pending records, and the LIFO
   // freelist keeps that churn allocation-free once the first arena block
-  // exists (the zero-allocation contract, docs/ENGINE.md). Only the
-  // pointers are sorted at settlement — the records never move.
+  // exists (the zero-allocation contract, docs/ENGINE.md). The records
+  // never move; `pending` is a binary min-heap of their settlement keys,
+  // (completion, dispatch order), so settling pops in exactly the order a
+  // stable sort by completion over dispatch order would give.
+  struct PendingKey {
+    double complete_s;
+    std::int64_t batch_index;
+    PendingCommit* commit;
+  };
+  static bool SettlesAfter(const PendingKey& a, const PendingKey& b) {
+    return a.complete_s != b.complete_s ? a.complete_s > b.complete_s
+                                        : a.batch_index > b.batch_index;
+  }
   event_core::NodePool<PendingCommit> pending_pool;
-  std::vector<PendingCommit*> pending;
+  std::vector<PendingKey> pending;
+  std::vector<PendingKey> aborted;  // FailOneReplica's scratch.
 
   std::size_t timeline_seen = 0;
   double snapshot_interval_s = 0.0;
@@ -280,8 +293,8 @@ struct PipelineContext {
     // Normal runs settle every deferred commit (CommitUntil(+inf) in
     // FinishRun); this covers exception unwinds, where the pool requires
     // live nodes released before it dies.
-    for (PendingCommit* p : pending) {
-      pending_pool.Release(p);
+    for (const PendingKey& key : pending) {
+      pending_pool.Release(key.commit);
     }
   }
 
@@ -548,8 +561,10 @@ struct PipelineContext {
                               batch.size());
         scheduled_backlog += batch.size();
       }
-      pending.push_back(pending_pool.Acquire(
-          PendingCommit{dr, std::move(batch), depth, tail_s}));
+      pending.push_back({dr.complete_s, dr.batch_index,
+                         pending_pool.Acquire(PendingCommit{
+                             dr, std::move(batch), depth, tail_s})});
+      std::push_heap(pending.begin(), pending.end(), SettlesAfter);
       return;
     }
     const DispatchRecord dr = pool.Dispatch(batch, &stats, depth, node,
@@ -567,7 +582,8 @@ struct PipelineContext {
   // Deferred-mode settlement: commit every pending batch completed by
   // virtual time `t`, ordered by (completion, dispatch order) — a pure
   // function of the schedule, so the stats stream (and with it the
-  // record-order latency mean) stays pinned by the seed.
+  // record-order latency mean) stays pinned by the seed. A settled batch's
+  // request storage goes straight back to the former.
   void Commit(PendingCommit& p) {
     stats.RecordBatch(p.batch.workload, p.batch.size(), p.depth);
     stats.RecordReplicaBusy(p.record.replica,
@@ -585,18 +601,13 @@ struct PipelineContext {
   }
 
   void CommitUntil(double t) {
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const PendingCommit* a, const PendingCommit* b) {
-                       return a->record.complete_s < b->record.complete_s;
-                     });
-    std::size_t done = 0;
-    while (done < pending.size() && pending[done]->record.complete_s <= t) {
-      Commit(*pending[done]);
-      pending_pool.Release(pending[done]);
-      ++done;
+    while (!pending.empty() && pending.front().complete_s <= t) {
+      std::pop_heap(pending.begin(), pending.end(), SettlesAfter);
+      PendingCommit* p = pending.back().commit;
+      pending.pop_back();
+      Commit(*p);
+      pending_pool.Release(p);
     }
-    pending.erase(pending.begin(),
-                  pending.begin() + static_cast<std::ptrdiff_t>(done));
   }
 
   // ----------------------------------------------------- adversity events
@@ -628,18 +639,18 @@ struct PipelineContext {
       return;
     }
     // Settle history, then abort everything the schedule had placed on
-    // the dead replica past the failure instant.
+    // the dead replica past the failure instant. Snapshots due by the
+    // failure instant go first, so none counts a completion after it.
+    SnapshotUntil(e.t_s);
     CommitUntil(e.t_s);
-    std::vector<PendingCommit> aborted;
-    for (std::size_t i = 0; i < pending.size();) {
-      if (pending[i]->record.replica == target) {
-        aborted.push_back(std::move(*pending[i]));
-        pending_pool.Release(pending[i]);
-        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
+    const auto kept_end =
+        std::partition(pending.begin(), pending.end(),
+                       [target](const PendingKey& key) {
+                         return key.commit->record.replica != target;
+                       });
+    aborted.assign(kept_end, pending.end());
+    pending.erase(kept_end, pending.end());
+    std::make_heap(pending.begin(), pending.end(), SettlesAfter);
     pool.FailReplica(target, e.t_s, e.until_s, e.warmup_s);
     FaultEvent(e.t_s, "replica " + std::to_string(target) +
                           " failed: dark until " + Seconds(e.until_s) +
@@ -651,12 +662,13 @@ struct PipelineContext {
     // pipeline at the failure instant and reroute to survivors (FIFO
     // within each batch is untouched — composition is preserved).
     std::sort(aborted.begin(), aborted.end(),
-              [](const PendingCommit& a, const PendingCommit& b) {
-                return a.record.batch_index < b.record.batch_index;
+              [](const PendingKey& a, const PendingKey& b) {
+                return a.batch_index < b.batch_index;
               });
-    for (PendingCommit& p : aborted) {
-      started -= p.batch.size();
-      Batch batch = std::move(p.batch);
+    for (const PendingKey& key : aborted) {
+      Batch batch = std::move(key.commit->batch);
+      pending_pool.Release(key.commit);
+      started -= batch.size();
       batch.formed_s = e.t_s;
       Dispatch(std::move(batch));
     }
@@ -853,11 +865,25 @@ struct PipelineContext {
   // One arrival enters: the arrival record only exists to feed the
   // autoscaler's windowed rate samples; static runs skip the bookkeeping
   // (hot path).
+  //
+  // Deferred mode settles here, as the clock passes: every pending batch
+  // completed by L = min(arrival, oldest request pending in a lane) is
+  // committed. Nothing dispatched later can complete before L — a
+  // size-cap close forms at an arrival >= this one, a deadline close at
+  // >= its lane head + max_wait, a flush at >= its lane tail, a retry
+  // re-offers at its retry time, a fault re-dispatch at the fault instant
+  // (adversity events fire before same-instant arrivals), and every batch
+  // completes at or after it forms. So the settled records are exactly
+  // the head of the (completion, dispatch order) sequence, and no later
+  // fault can abort one: it only aborts batches completing after it.
   void HandleArrival(const Request& request) {
     if (autoscaler != nullptr) {
       stats.RecordArrival(request.workload, request.arrival_s);
     }
     SnapshotUntil(request.arrival_s);
+    if (defer_commits) {
+      CommitUntil(std::min(request.arrival_s, former.OldestPending()));
+    }
     Offer(request);
   }
 

@@ -207,6 +207,158 @@ Quantiles SelectQuantiles(std::vector<double>* values) {
   return q;
 }
 
+// One population for SelectBracketed: the concatenation of `parts`, read in
+// place.
+using Population = std::vector<const std::vector<double>*>;
+
+// The same quantiles as SelectQuantiles over the concatenated `parts`, by
+// one read-only sweep instead of a copy and a cascade over everything.
+//
+// A strided sample, sorted, gives pivots for two brackets: a body bracket
+// [lo, hi] around where the p50 rank should fall, and a tail bracket
+// [tail_lo, +inf) starting below where the p95 rank should fall. The sweep
+// counts the values below the body bracket, copies the ones inside either
+// bracket, and needs nothing else. In ascending order the values below
+// `lo` come first, so rank k lies in the body exactly when below <= k <
+// below + inside, and is then the (k - below)-th smallest value inside
+// it; the tail holds the top `tail` ranks, so p95, p99 and the max come
+// from a cascade over it. Each answer is the very element a full sort puts
+// at its rank. Ties are no exception — a value equal to a pivot is inside
+// the bracket — and a body bracket whose two pivots are equal holds copies
+// of one value, so it is counted, not copied. When a rank misses its
+// bracket (an unlucky sample) or the population is too small to sample,
+// the cascade over a copy answers.
+Quantiles SelectBracketed(const Population& parts,
+                          std::vector<double>* scratch) {
+  constexpr std::size_t kSample = 1024;
+  constexpr std::size_t kChunk = 4096;  // Values swept per room check.
+  std::size_t n = 0;
+  for (const std::vector<double>* part : parts) {
+    n += part->size();
+  }
+  const auto cascade = [&] {
+    scratch->clear();
+    for (const std::vector<double>* part : parts) {
+      scratch->insert(scratch->end(), part->begin(), part->end());
+    }
+    return SelectQuantiles(scratch);
+  };
+  if (n < 8 * kSample) {
+    return cascade();
+  }
+
+  // The sample: the midpoints of kSample equal strides over the
+  // concatenation.
+  std::vector<double> sample;
+  sample.reserve(kSample);
+  std::size_t part = 0;
+  std::size_t part_start = 0;
+  for (std::size_t i = 0; i < kSample; ++i) {
+    const std::size_t at = (2 * i + 1) * n / (2 * kSample);
+    while (at >= part_start + parts[part]->size()) {
+      part_start += parts[part]->size();
+      ++part;
+    }
+    sample.push_back((*parts[part])[at - part_start]);
+  }
+  std::sort(sample.begin(), sample.end());
+
+  // A rank's pivot positions in the sample: its expected position, widened
+  // by four standard deviations of the binomial count of sample values
+  // below it (plus two for rounding).
+  const std::size_t k50 = RankIndex(n, 50.0);
+  const std::size_t k95 = RankIndex(n, 95.0);
+  const std::size_t k99 = RankIndex(n, 99.0);
+  const auto pivot = [&](std::size_t rank, double side) {
+    const double q =
+        (static_cast<double>(rank) + 0.5) / static_cast<double>(n);
+    const double kS = static_cast<double>(kSample);
+    const double at = q * kS + side * (4.0 * std::sqrt(kS * q * (1.0 - q)) +
+                                       2.0);
+    return std::clamp(side < 0.0 ? std::floor(at) : std::ceil(at), 0.0,
+                      kS - 1.0);
+  };
+  const double lo_at = pivot(k50, -1.0);
+  const double hi_at = pivot(k50, 1.0);
+  const double tail_at = pivot(k95, -1.0);
+  const double lo = sample[static_cast<std::size_t>(lo_at)];
+  const double hi = sample[static_cast<std::size_t>(hi_at)];
+  const double tail_lo = sample[static_cast<std::size_t>(tail_at)];
+  const auto expected = [&](double from_at, double to_at) {
+    return static_cast<std::size_t>((to_at - from_at + 1.0) /
+                                    static_cast<double>(kSample) *
+                                    static_cast<double>(n) * 1.25) +
+           kChunk;
+  };
+  const bool copy_body = lo != hi;
+  std::vector<double> body(copy_body ? expected(lo_at, hi_at) : kChunk);
+  std::vector<double> tail(expected(tail_at, static_cast<double>(kSample)));
+
+  // Branch-free sweep: each value is written to both brackets' next free
+  // slots, which only advance when it is inside. A counting body bracket
+  // never advances. Room for a whole chunk is checked once per chunk.
+  const std::size_t body_step = copy_body ? 1 : 0;
+  std::size_t below = 0;      // Values < lo.
+  std::size_t not_above = 0;  // Values <= hi.
+  std::size_t body_n = 0;     // Copied into `body`.
+  std::size_t tail_n = 0;     // Copied into `tail` (values >= tail_lo).
+  for (const std::vector<double>* values : parts) {
+    for (std::size_t from = 0; from < values->size(); from += kChunk) {
+      if (body.size() - body_n < kChunk) {
+        body.resize(2 * body.size());
+      }
+      if (tail.size() - tail_n < kChunk) {
+        tail.resize(2 * tail.size());
+      }
+      const std::size_t to = std::min(values->size(), from + kChunk);
+      double* body_out = body.data();
+      double* tail_out = tail.data();
+      for (std::size_t i = from; i < to; ++i) {
+        const double v = (*values)[i];
+        const std::size_t lt = v < lo;
+        const std::size_t le = v <= hi;
+        below += lt;
+        not_above += le;
+        body_out[body_n] = v;
+        body_n += (le - lt) * body_step;
+        tail_out[tail_n] = v;
+        tail_n += static_cast<std::size_t>(!(v < tail_lo));
+      }
+    }
+  }
+
+  Quantiles q;
+  if (k50 < below || k50 >= not_above) {
+    return cascade();
+  }
+  if (copy_body) {
+    const auto nth =
+        body.begin() + static_cast<std::ptrdiff_t>(k50 - below);
+    std::nth_element(body.begin(), nth,
+                     body.begin() + static_cast<std::ptrdiff_t>(body_n));
+    q.p50 = *nth;
+  } else {
+    q.p50 = lo;
+  }
+  // The tail holds ranks [n - tail_n, n): select p95 and p99 there by the
+  // same cascade as SelectQuantiles, then the max of what is left.
+  const std::size_t tail_from = n - tail_n;
+  if (k95 < tail_from) {
+    return cascade();
+  }
+  const auto end = tail.begin() + static_cast<std::ptrdiff_t>(tail_n);
+  const auto nth95 =
+      tail.begin() + static_cast<std::ptrdiff_t>(k95 - tail_from);
+  std::nth_element(tail.begin(), nth95, end);
+  q.p95 = *nth95;
+  const auto nth99 =
+      tail.begin() + static_cast<std::ptrdiff_t>(k99 - tail_from);
+  std::nth_element(nth95, nth99, end);
+  q.p99 = *nth99;
+  q.max = *std::max_element(nth99, end);
+  return q;
+}
+
 }  // namespace
 
 double ServeStats::Percentile(std::vector<double> values, double p) {
@@ -229,20 +381,20 @@ StatsSummary ServeStats::Summarize(double offered_qps,
     s.throughput_rps = static_cast<double>(s.completed) / s.horizon_s;
   }
 
-  // One scratch buffer serves every population: the aggregate (all
-  // workloads concatenated), each workload slice, and each tier slice.
-  // Means divide record-order running sums, which equal std::accumulate
-  // over the record-order population bit for bit.
+  // Every population — the aggregate (all workloads together), each
+  // workload slice, and each tier slice — is read in place; one scratch
+  // buffer serves the copies a cascade fallback needs. Means divide
+  // record-order running sums, which equal std::accumulate over the
+  // record-order population bit for bit.
   std::vector<double> scratch;
-  scratch.reserve(static_cast<std::size_t>(completed_));
   std::int64_t batched_requests = 0;
+  Population population;
   for (const WorkloadRecord& record : workloads_) {
-    scratch.insert(scratch.end(), record.latencies_s.begin(),
-                   record.latencies_s.end());
+    population.push_back(&record.latencies_s);
     s.batches += record.batches;
     batched_requests += record.batched_requests;
   }
-  const Quantiles all = SelectQuantiles(&scratch);
+  const Quantiles all = SelectBracketed(population, &scratch);
   s.p50_ms = all.p50 * 1e3;
   s.p95_ms = all.p95 * 1e3;
   s.p99_ms = all.p99 * 1e3;
@@ -282,11 +434,10 @@ StatsSummary ServeStats::Summarize(double offered_qps,
           static_cast<double>(slice.completed) / s.horizon_s;
     }
     // A single workload's population is the aggregate: reuse its quantiles.
-    Quantiles q = all;
-    if (workloads_.size() > 1) {
-      scratch.assign(record.latencies_s.begin(), record.latencies_s.end());
-      q = SelectQuantiles(&scratch);
-    }
+    const Quantiles q =
+        workloads_.size() > 1
+            ? SelectBracketed({&record.latencies_s}, &scratch)
+            : all;
     slice.p50_ms = q.p50 * 1e3;
     slice.p95_ms = q.p95 * 1e3;
     slice.p99_ms = q.p99 * 1e3;
@@ -309,24 +460,22 @@ StatsSummary ServeStats::Summarize(double offered_qps,
   if (tiers_set_) {
     for (int t = 0; t < 3; ++t) {
       const SlaTier tier = static_cast<SlaTier>(t);
-      scratch.clear();
-      bool any = false;
+      population.clear();
+      std::int64_t completed = 0;
       for (const WorkloadRecord& record : workloads_) {
-        if (record.tier != tier) {
-          continue;
+        if (record.tier == tier) {
+          population.push_back(&record.latencies_s);
+          completed += static_cast<std::int64_t>(record.latencies_s.size());
         }
-        any = true;
-        scratch.insert(scratch.end(), record.latencies_s.begin(),
-                       record.latencies_s.end());
       }
-      if (!any) {
+      if (population.empty()) {
         continue;  // No tenant mapped to this tier: no slice row.
       }
       TierSummary slice;
       slice.name = TierName(tier);
       slice.tier = tier;
-      slice.completed = static_cast<std::int64_t>(scratch.size());
-      const Quantiles q = SelectQuantiles(&scratch);
+      slice.completed = completed;
+      const Quantiles q = SelectBracketed(population, &scratch);
       slice.p50_ms = q.p50 * 1e3;
       slice.p99_ms = q.p99 * 1e3;
       s.per_tier.push_back(std::move(slice));

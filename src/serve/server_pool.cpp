@@ -101,6 +101,68 @@ void ServerPool::Init(const std::vector<ReplicaSpec>& specs) {
   }
 }
 
+void ServerPool::FreeSet::Place(std::size_t i, Entry entry) {
+  heap_[i] = entry;
+  pos_[static_cast<std::size_t>(entry.second)] = static_cast<int>(i);
+}
+
+void ServerPool::FreeSet::SiftUp(std::size_t i, Entry entry) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(entry < heap_[parent])) {
+      break;
+    }
+    Place(i, heap_[parent]);
+    i = parent;
+  }
+  Place(i, entry);
+}
+
+void ServerPool::FreeSet::SiftDown(std::size_t i, Entry entry) {
+  const std::size_t n = heap_.size();
+  for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) {
+      ++child;
+    }
+    if (!(heap_[child] < entry)) {
+      break;
+    }
+    Place(i, heap_[child]);
+    i = child;
+  }
+  Place(i, entry);
+}
+
+void ServerPool::FreeSet::Insert(Entry entry) {
+  const auto r = static_cast<std::size_t>(entry.second);
+  if (pos_.size() <= r) {
+    pos_.resize(r + 1, -1);
+  }
+  heap_.push_back(entry);
+  SiftUp(heap_.size() - 1, entry);
+}
+
+void ServerPool::FreeSet::Erase(int replica) {
+  const auto r = static_cast<std::size_t>(replica);
+  if (r >= pos_.size() || pos_[r] < 0) {
+    return;
+  }
+  const auto i = static_cast<std::size_t>(pos_[r]);
+  pos_[r] = -1;
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) {
+    return;  // The erased entry was the last slot.
+  }
+  // The last entry fills the hole: it may belong above it (it came from
+  // another subtree) or below it.
+  if (i > 0 && last < heap_[(i - 1) / 2]) {
+    SiftUp(i, last);
+  } else {
+    SiftDown(i, last);
+  }
+}
+
 template <typename Change>
 void ServerPool::Reindex(int replica, Change&& change) {
   IndexReplica(replica, /*insert=*/false);
@@ -124,11 +186,11 @@ void ServerPool::IndexReplica(int replica, bool insert) {
       by_node.resize(n + 1);
     }
     if (insert) {
-      free_by_workload_[w].insert(key);
-      by_node[n].insert(key);
+      free_by_workload_[w].Insert(key);
+      by_node[n].Insert(key);
     } else {
-      free_by_workload_[w].erase(key);
-      by_node[n].erase(key);
+      free_by_workload_[w].Erase(replica);
+      by_node[n].Erase(replica);
     }
   }
 }
@@ -462,7 +524,7 @@ double ServerPool::EarliestFree(WorkloadId workload, int node) const {
   const FreeSet* selectable = Selectable(workload, node);
   return selectable == nullptr || selectable->empty()
              ? std::numeric_limits<double>::infinity()
-             : selectable->begin()->first;
+             : selectable->top().first;
 }
 
 void ServerPool::SetReplicaNode(int replica, int node) {
@@ -777,7 +839,7 @@ DispatchRecord ServerPool::Dispatch(const Batch& batch, ServeStats* stats,
   const FreeSet* selectable = Selectable(batch.workload, node);
   NSF_CHECK_MSG(selectable != nullptr && !selectable->empty(),
                 "no replica serves the batch's workload");
-  const int choice = selectable->begin()->second;
+  const int choice = selectable->top().second;
   DispatchRecord record;
   record.batch_index = dispatched_batches_++;
   record.replica = choice;

@@ -25,12 +25,12 @@
 //      timeline. The engine interleaves this with batch forming so
 //      `EarliestFree(workload)` can stretch the forming wait while every
 //      capable replica is busy.
-// Replica selection never scans the pool: the pool keeps an ordered
-// `(free_at, replica id)` index per workload and per (workload, node),
-// holding the non-draining replicas deployed for that workload. The
-// earliest-free probes are one `begin()` read, and a dispatch re-keys the
-// chosen replica in O(log R) per workload it serves (docs/PERFORMANCE.md,
-// "Replica selection").
+// Replica selection never scans the pool: the pool keeps a `(free_at,
+// replica id)` min-heap per workload and per (workload, node), holding the
+// non-draining replicas deployed for that workload. The earliest-free
+// probes are one read of the heap's top, and a dispatch re-keys the chosen
+// replica in O(log R) per workload it serves, without allocating
+// (docs/PERFORMANCE.md, "Replica selection").
 // Splitting model evaluation from assignment keeps results independent of
 // thread scheduling: same designs + same batch stream -> same dispatch.
 #pragma once
@@ -41,7 +41,6 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -314,8 +313,30 @@ class ServerPool {
   }
 
  private:
-  /// One replica-selection index set: (free_at, replica id), ascending.
-  using FreeSet = std::set<std::pair<double, int>>;
+  /// One replica-selection index: a binary min-heap of (free_at, replica
+  /// id) with a per-replica position array, so top() is the earliest-free
+  /// member, ties to the lowest id, and any member can be erased in
+  /// O(log R). Its storage only grows when the pool does.
+  class FreeSet {
+   public:
+    using Entry = std::pair<double, int>;  // (free_at, replica id).
+    bool empty() const { return heap_.empty(); }
+    std::size_t size() const { return heap_.size(); }
+    const Entry& top() const { return heap_.front(); }
+    void Insert(Entry entry);
+    /// Removes `replica` (a no-op when it is not a member).
+    void Erase(int replica);
+
+   private:
+    /// Settle `entry` into the hole at slot `i`, moving the hole toward
+    /// the root (SiftUp) or the leaves (SiftDown).
+    void SiftUp(std::size_t i, Entry entry);
+    void SiftDown(std::size_t i, Entry entry);
+    void Place(std::size_t i, Entry entry);
+
+    std::vector<Entry> heap_;
+    std::vector<int> pos_;  // Per replica id: its heap slot, -1 if absent.
+  };
 
   /// Replicas sharing a design share cache entries; kind_[r] indexes the
   /// distinct-design table. The workload id completes the key because the
@@ -427,7 +448,7 @@ class ServerPool {
 
   /// Replica-selection index (kept by Reindex). `free_by_workload_[w]`
   /// orders the non-draining replicas deployed for `w` by (free_at, id),
-  /// so begin() is the earliest-free one, ties to the lowest id;
+  /// so top() is the earliest-free one, ties to the lowest id;
   /// `free_by_node_[w][n]` is the same per cluster node (grown as nodes
   /// appear).
   std::vector<FreeSet> free_by_workload_;

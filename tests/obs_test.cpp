@@ -319,6 +319,66 @@ TEST(ObsServeTest, SpansSatisfyLifecycleInvariants) {
   EXPECT_EQ(decisions, static_cast<std::int64_t>(report.deltas.size()));
 }
 
+// A fault run defers every batch's stats until the clock passes its
+// completion. The serve.completed counter in each metrics snapshot must
+// therefore track the virtual clock: never decreasing, already counting
+// before the first fault, never ahead of the batches completed by the
+// snapshot instant, and ending at the run's completed count.
+TEST(ObsServeTest, FaultRunSnapshotsCountCompletionsAsTheClockPasses) {
+  serve::WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  registry.RegisterBuiltin("resnet18");
+  const std::vector<serve::WorkloadShare> mix = {{"mlp", 0.6},
+                                                 {"resnet18", 0.4}};
+  serve::ServeOptions options;
+  options.qps = 400.0;
+  options.duration_s = 2.0;
+  options.seed = 7;
+  options.adversity =
+      serve::AdversitySpec::Parse("replica-fail:at=1,down=0.5,replica=0");
+  options.trace.enabled = true;
+  options.trace.snapshot_interval_s = 0.125;  // Exact multiples.
+  const serve::ServeReport report = serve::RunSyntheticServe(
+      registry, registry.ReplicaSpecs(4, /*partition=*/true), mix, options);
+  ASSERT_NE(report.obs, nullptr);
+
+  double first_fault_s = -1.0;
+  for (const serve::PoolEvent& event : report.summary.timeline) {
+    if (event.kind == serve::PoolEventKind::kFault) {
+      first_fault_s = event.t_s;
+      break;
+    }
+  }
+  ASSERT_DOUBLE_EQ(first_fault_s, 1.0);
+
+  const auto& timeline = report.obs->metrics.timeline();
+  ASSERT_GE(timeline.size(), 10u);
+  std::int64_t previous = 0;
+  bool counted_before_fault = false;
+  for (const MetricsSnapshot& snapshot : timeline) {
+    std::int64_t completed = -1;
+    for (const auto& [name, value] : snapshot.counters) {
+      if (*name == "serve.completed") {
+        completed = value;
+      }
+    }
+    ASSERT_GE(completed, 0) << "no serve.completed at " << snapshot.t_s;
+    std::int64_t done_by_then = 0;
+    for (const serve::DispatchRecord& record : report.dispatches) {
+      if (record.complete_s <= snapshot.t_s) {
+        done_by_then += record.size;
+      }
+    }
+    EXPECT_GE(completed, previous) << "at " << snapshot.t_s;
+    EXPECT_LE(completed, done_by_then) << "at " << snapshot.t_s;
+    counted_before_fault = counted_before_fault ||
+                           (snapshot.t_s < first_fault_s && completed > 0);
+    previous = completed;
+  }
+  EXPECT_TRUE(counted_before_fault);
+  EXPECT_EQ(previous, report.summary.completed);
+}
+
 // ------------------------------------------------------------------ logger
 
 TEST(ObsLoggingTest, SinkInjectionAndLevelFilter) {

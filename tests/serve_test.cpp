@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/rng.h"
@@ -16,6 +17,7 @@
 #include "serve/engine.h"
 #include "serve/serve_stats.h"
 #include "serve/server_pool.h"
+#include "serve/workload_registry.h"
 #include "workloads/builders.h"
 
 namespace nsflow::serve {
@@ -124,21 +126,75 @@ double SortedPercentile(std::vector<double> values, double p) {
 
 std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
+// Populations for the selection checks. Summarize samples large
+// populations to bracket each rank, so beside plain and tie-heavy ones
+// this includes the shapes that defeat a sample: one value spanning a
+// pivot, and populations whose period aliases with the sample's stride at
+// n = 16384 (every 16th value is sampled). In the first the sampled
+// values are tiny outliers, so the median misses its bracket; in the
+// second they skew high above the median, so p95 misses the tail bracket.
+enum class Shape {
+  kUniform,
+  kFourValues,
+  kSpanningTie,
+  kAliasedBody,
+  kAliasedTail
+};
+
+std::vector<double> MakePopulation(std::size_t n, Shape shape, Rng& rng) {
+  std::vector<double> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double& v = values[i];
+    switch (shape) {
+      case Shape::kUniform:
+        v = rng.Uniform(0.0, 0.1);
+        break;
+      case Shape::kFourValues:
+        v = 0.25 * static_cast<double>(rng.UniformInt(0, 3));
+        break;
+      case Shape::kSpanningTie:
+        v = rng.Bernoulli(0.6) ? 0.0125 : rng.Uniform(0.0, 0.1);
+        break;
+      case Shape::kAliasedBody:
+        v = i % 16 == 8 ? 1e-6 * static_cast<double>(i)
+                        : 1.0 + rng.Uniform(0.0, 0.1);
+        break;
+      case Shape::kAliasedTail:
+        v = i % 16 != 8        ? rng.Uniform(0.0, 1.0)
+            : rng.Bernoulli(0.5) ? rng.Uniform(0.0, 0.5)
+                                 : rng.Uniform(0.96, 1.0);
+        break;
+    }
+  }
+  return values;
+}
+
 TEST(ServeStatsTest, PercentileSelectionMatchesSort) {
   Rng rng(2024);
-  for (const std::size_t n : {0, 1, 2, 19, 20, 21, 99, 100, 101, 1000}) {
-    for (const bool ties : {false, true}) {
-      std::vector<double> values(n);
-      for (double& v : values) {
-        // Heavy ties: four distinct values across the whole population.
-        v = ties ? 0.25 * static_cast<double>(rng.UniformInt(0, 3))
-                 : rng.Uniform(0.0, 0.1);
-      }
+  for (const std::size_t n : {0, 1, 2, 19, 20, 21, 99, 100, 101, 1000, 1023,
+                              8191, 8192, 16384, 40000}) {
+    for (const Shape shape :
+         {Shape::kUniform, Shape::kFourValues, Shape::kSpanningTie,
+          Shape::kAliasedBody, Shape::kAliasedTail}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " shape=" +
+                   std::to_string(static_cast<int>(shape)));
+      const std::vector<double> values = MakePopulation(n, shape, rng);
       for (const double p : {0.0, 25.0, 50.0, 95.0, 99.0, 100.0}) {
         EXPECT_EQ(Bits(ServeStats::Percentile(values, p)),
                   Bits(SortedPercentile(values, p)))
-            << "n=" << n << " ties=" << ties << " p=" << p;
+            << "p=" << p;
       }
+      // Summarize's selection over the same population, recorded as
+      // latencies from arrival 0.
+      ServeStats stats(1);
+      for (const double v : values) {
+        stats.RecordRequest(0.0, v);
+      }
+      const StatsSummary s = stats.Summarize(0.0, 1.0);
+      EXPECT_EQ(Bits(s.p50_ms), Bits(SortedPercentile(values, 50.0) * 1e3));
+      EXPECT_EQ(Bits(s.p95_ms), Bits(SortedPercentile(values, 95.0) * 1e3));
+      EXPECT_EQ(Bits(s.p99_ms), Bits(SortedPercentile(values, 99.0) * 1e3));
+      EXPECT_EQ(Bits(s.max_ms), Bits(SortedPercentile(values, 100.0) * 1e3));
     }
   }
 }
@@ -147,7 +203,11 @@ TEST(ServeStatsTest, PercentileSelectionMatchesSort) {
 // exists, with requests and batches interleaved across tenants. Every
 // summary field must equal, bit for bit, what sorting each population and
 // std::accumulate-ing it in record order reports.
-TEST(ServeStatsTest, SummarizeMatchesSortReference) {
+//
+// At 30,000 requests the populations are large enough to be sampled, and
+// their 41 coarse latency values put ties across every pivot.
+void CheckSummaryAgainstSortReference(int requests) {
+  SCOPED_TRACE("requests=" + std::to_string(requests));
   constexpr int kWorkloads = 3;
   const SlaTier tiers[kWorkloads] = {SlaTier::kCritical, SlaTier::kStandard,
                                      SlaTier::kBatch};
@@ -156,7 +216,7 @@ TEST(ServeStatsTest, SummarizeMatchesSortReference) {
     stats.SetWorkloadName(w, "w" + std::to_string(w));
     stats.SetWorkloadTier(w, tiers[w]);
   }
-  stats.Reserve(std::vector<std::int64_t>{600, 0, 600});
+  stats.Reserve(std::vector<std::int64_t>{requests, 0, requests});
 
   std::vector<double> all;
   std::vector<double> latencies[kWorkloads];
@@ -165,7 +225,7 @@ TEST(ServeStatsTest, SummarizeMatchesSortReference) {
   std::vector<std::int64_t> sizes_of[kWorkloads];
   double last_completion = 0.0;
   Rng rng(7);
-  for (int i = 0; i < 1000; ++i) {
+  for (int i = 0; i < requests; ++i) {
     const WorkloadId w = rng.Bernoulli(0.4) ? 0 : 2;
     const double arrival = rng.Uniform(0.0, 2.0);
     // Coarse latencies so the populations carry ties.
@@ -203,10 +263,11 @@ TEST(ServeStatsTest, SummarizeMatchesSortReference) {
 
   const StatsSummary s = stats.Summarize(500.0, 1.0);
   const double horizon = std::max(1.0, last_completion);
-  EXPECT_EQ(s.completed, 1000);
+  EXPECT_EQ(s.completed, requests);
   EXPECT_EQ(s.batches, static_cast<std::int64_t>(sizes.size()));
   EXPECT_EQ(Bits(s.horizon_s), Bits(horizon));
-  EXPECT_EQ(Bits(s.throughput_rps), Bits(1000.0 / horizon));
+  EXPECT_EQ(Bits(s.throughput_rps),
+            Bits(static_cast<double>(requests) / horizon));
   EXPECT_EQ(Bits(s.offered_qps), Bits(500.0));
   EXPECT_EQ(Bits(s.p50_ms), Bits(SortedPercentile(all, 50.0) * 1e3));
   EXPECT_EQ(Bits(s.p95_ms), Bits(SortedPercentile(all, 95.0) * 1e3));
@@ -253,6 +314,12 @@ TEST(ServeStatsTest, SummarizeMatchesSortReference) {
   }
   EXPECT_TRUE(s.timeline.empty());
   EXPECT_TRUE(s.per_node.empty());
+}
+
+TEST(ServeStatsTest, SummarizeMatchesSortReference) {
+  for (const int requests : {1000, 30000}) {
+    CheckSummaryAgainstSortReference(requests);
+  }
 }
 
 TEST(ServeStatsTest, ArrivalsStayOrderedAndCountPerWorkload) {
@@ -474,6 +541,174 @@ TEST(ServerPoolTest, HeterogeneousParetoPoolServes) {
   EXPECT_EQ(report.summary.completed, report.generated_requests);
   EXPECT_GT(report.summary.throughput_rps, 0.0);
   ASSERT_EQ(report.summary.replica_utilization.size(), 3u);
+}
+
+// ------------------------------------------------------ selection index
+
+// What the replica-selection index must answer, by brute force: the
+// non-draining replicas deployed for `workload` (on `node` when >= 0),
+// argmin over (free_at, id).
+struct Argmin {
+  double free_at = std::numeric_limits<double>::infinity();
+  int replica = -1;
+};
+
+Argmin BruteForceEarliest(const ServerPool& pool, WorkloadId workload,
+                          int node) {
+  Argmin best;
+  for (int r = 0; r < pool.size(); ++r) {
+    if (pool.draining(r) || !pool.CanServe(r, workload) ||
+        (node >= 0 && pool.NodeOf(r) != node)) {
+      continue;
+    }
+    if (best.replica < 0 || pool.FreeAt(r) < best.free_at) {
+      best = {pool.FreeAt(r), r};  // Ascending ids: ties keep the lowest.
+    }
+  }
+  return best;
+}
+
+// Whether `replica` can leave `workload`'s capable set without orphaning it.
+bool HasOtherServer(const ServerPool& pool, int replica, WorkloadId w) {
+  for (int r = 0; r < pool.size(); ++r) {
+    if (r != replica && !pool.draining(r) && pool.CanServe(r, w)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Random add / fail / drain / refit / node-move / dispatch sequences over a
+// three-node, two-workload pool. After every step the index's answers —
+// EarliestFree pool-wide and per node, NodeCanServe, and the replica the
+// next Dispatch picks — must equal the brute-force argmin. Times sit on a
+// coarse grid and equal designs finish equal batches together, so ties on
+// free_at are common and the lowest-id tie order is exercised.
+TEST(ServerPoolTest, SelectionIndexMatchesBruteForceArgmin) {
+  WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  registry.RegisterBuiltin("resnet18");
+  const std::vector<ReplicaSpec> partitioned =
+      registry.ReplicaSpecs(4, /*partitioned=*/true);
+  // Deployment templates: dedicated to workload 0, to workload 1, or both
+  // (on resnet18's design, whose memory also fits mlp).
+  std::vector<ReplicaSpec> templates = {partitioned[0], partitioned[1]};
+  templates.push_back(partitioned[1]);
+  templates.back().workloads.clear();
+  constexpr int kNodes = 3;
+  constexpr int kWorkloads = 2;
+
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ServerPool pool(partitioned, registry.Dataflows(), /*worker_threads=*/1);
+    std::vector<double> up_at(partitioned.size(), 0.0);  // Outage warm-ups.
+    double now = 0.0;
+    std::int64_t next_id = 0;
+    int applied[6] = {};  // Per step kind: add, fail, drain, refit, move,
+                          // dispatch.
+    for (int step = 0; step < 300; ++step) {
+      now += 0.5 * static_cast<double>(rng.UniformInt(0, 1)) * 1e-3;
+      const int r = static_cast<int>(rng.UniformInt(0, pool.size() - 1));
+      const auto ri = static_cast<std::size_t>(r);
+      switch (rng.UniformInt(0, 9)) {
+        case 0: {  // Warm-add, ready on the grid.
+          const auto& spec = templates[static_cast<std::size_t>(
+              rng.UniformInt(0, static_cast<std::int64_t>(templates.size()) -
+                                    1))];
+          const int added = pool.AddReplica(spec, now + 1e-3);
+          pool.SetReplicaNode(added,
+                              static_cast<int>(rng.UniformInt(0, kNodes - 1)));
+          up_at.push_back(0.0);
+          ++applied[0];
+          break;
+        }
+        case 1: {  // Fail, when the pool allows it.
+          if (up_at[ri] <= now &&
+              pool.ResolveFaultTarget(r, now, /*for_failure=*/true) == r) {
+            pool.FailReplica(r, now, now + 2e-3, 0.5e-3);
+            up_at[ri] = now + 2.5e-3;
+            ++applied[1];
+          }
+          break;
+        }
+        case 2: {  // Drain, unless it would orphan a workload.
+          bool safe = !pool.draining(r);
+          for (WorkloadId w = 0; safe && w < kWorkloads; ++w) {
+            safe = !pool.CanServe(r, w) || HasOtherServer(pool, r, w);
+          }
+          if (safe) {
+            pool.DrainReplica(r, now);
+            ++applied[2];
+          }
+          break;
+        }
+        case 3: {  // Refit to another template, unless it would orphan.
+          const auto& spec = templates[static_cast<std::size_t>(
+              rng.UniformInt(0, static_cast<std::int64_t>(templates.size()) -
+                                    1))];
+          bool safe = !pool.draining(r);
+          for (WorkloadId w = 0; safe && w < kWorkloads; ++w) {
+            const bool keeps =
+                spec.workloads.empty() ||
+                std::find(spec.workloads.begin(), spec.workloads.end(), w) !=
+                    spec.workloads.end();
+            safe = keeps || !pool.CanServe(r, w) ||
+                   HasOtherServer(pool, r, w);
+          }
+          if (safe) {
+            pool.RefitInPlace(r, spec, now + 1e-3);
+            ++applied[3];
+          }
+          break;
+        }
+        case 4:  // Move to another node.
+          pool.SetReplicaNode(r,
+                              static_cast<int>(rng.UniformInt(0, kNodes - 1)));
+          ++applied[4];
+          break;
+        default: {  // Dispatch, pool-wide or narrowed to a node.
+          const auto w = static_cast<WorkloadId>(rng.UniformInt(0, 1));
+          const int node = rng.Bernoulli(0.5)
+                               ? static_cast<int>(rng.UniformInt(0, kNodes - 1))
+                               : -1;
+          const Argmin expect = BruteForceEarliest(pool, w, node);
+          if (expect.replica < 0) {
+            break;  // Nothing capable there: Dispatch would throw.
+          }
+          Batch batch;
+          batch.workload = w;
+          batch.formed_s = now;
+          const auto size = rng.UniformInt(1, 4);
+          for (std::int64_t i = 0; i < size; ++i) {
+            batch.requests.push_back(Request{next_id++, now, w});
+          }
+          const DispatchRecord record = pool.Dispatch(batch, nullptr, 0, node);
+          ASSERT_EQ(record.replica, expect.replica) << "step " << step;
+          EXPECT_EQ(Bits(record.start_s),
+                    Bits(std::max(now, expect.free_at)));
+          ++applied[5];
+          break;
+        }
+      }
+      for (WorkloadId w = 0; w < kWorkloads; ++w) {
+        const Argmin all = BruteForceEarliest(pool, w, -1);
+        ASSERT_EQ(Bits(pool.EarliestFree(w)), Bits(all.free_at))
+            << "step " << step << " workload " << w;
+        for (int n = 0; n < kNodes + 1; ++n) {
+          const Argmin on_node = BruteForceEarliest(pool, w, n);
+          ASSERT_EQ(Bits(pool.EarliestFree(w, n)), Bits(on_node.free_at))
+              << "step " << step << " workload " << w << " node " << n;
+          ASSERT_EQ(pool.NodeCanServe(w, n), on_node.replica >= 0)
+              << "step " << step << " workload " << w << " node " << n;
+        }
+      }
+    }
+    for (const int count : applied) {
+      EXPECT_GT(count, 0);
+    }
+    EXPECT_GT(applied[5], 100);
+  }
 }
 
 }  // namespace
