@@ -9,7 +9,7 @@
 //      timing-only estimator (what it does now), and their ratio — the
 //      cold-cache speedup the fast path delivers;
 //   2. pool cache behavior: wall-clock of a cold WarmBatchSizes sweep vs
-//      re-reading every entry warm (shared-lock hits);
+//      re-reading every entry warm (latency-table hits);
 //   3. end-to-end engine time: RunSyntheticServe under the mix with a fixed
 //      seed, reporting wall-clock, throughput, and tail latencies.
 // The contract check asserts estimator == functional (exact double
@@ -482,7 +482,6 @@ int main(int argc, char** argv) {
         scale_options.qps = scale_qps_per_replica * replicas;
         scale_options.duration_s = scale_requests / scale_options.qps;
         scale_options.seed = 7;
-        scale_options.worker_threads = 1;
         if (curve.admission) {
           scale_options.admission = serve::AdmissionSpec::Parse("guard");
           scale_options.tiers = {serve::SlaTier::kCritical,

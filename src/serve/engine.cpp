@@ -195,7 +195,8 @@ struct PipelineContext {
 
   std::size_t timeline_seen = 0;
   double snapshot_interval_s = 0.0;
-  double next_snapshot_s = 0.0;
+  std::int64_t snapshot_index = 1;  // The next snapshot is the k-th, at
+  double next_snapshot_s = 0.0;     // k x snapshot_interval_s.
   std::vector<PoolDelta> deltas;
   std::vector<double> busy_until;
 
@@ -243,9 +244,9 @@ struct PipelineContext {
       }
     }
 
-    // Parallel cycle-model warm-up, restricted to workloads that actually
-    // have traffic — idle tenants stay lazily memoized (their unbatched
-    // baseline below is the only evaluation they pay).
+    // Cycle-model warm-up, restricted to workloads that actually have
+    // traffic — idle tenants stay lazily filled (their unbatched baseline
+    // below is the only evaluation they pay).
     generated.assign(static_cast<std::size_t>(pool.workloads()), 0);
     for (const Request& request : arrivals) {
       ++generated[static_cast<std::size_t>(request.workload)];
@@ -444,7 +445,10 @@ struct PipelineContext {
     while (next_snapshot_s <= t) {
       pool.PublishCacheMetrics();
       obs->metrics.TakeSnapshot(next_snapshot_s);
-      next_snapshot_s += snapshot_interval_s;
+      // From the count, not by repeated addition, which drifts: ten steps
+      // of 0.1 add up to 0.99999999999999989.
+      next_snapshot_s =
+          static_cast<double>(++snapshot_index) * snapshot_interval_s;
     }
   }
 
@@ -1119,7 +1123,7 @@ ServeReport RunSyntheticServe(const DataflowGraph& dfg,
                 "clustering requires the multi-tenant engine — serve a "
                 "mix or a plan (docs/CLUSTER.md)");
   std::vector<Request> arrivals = SyntheticArrivals(options);
-  ServerPool pool(designs, dfg, options.worker_threads);
+  ServerPool pool(designs, dfg);
   ServeStats stats(pool.size());
   std::optional<AdmissionController> admission;
   if (options.admission.enabled()) {
@@ -1165,7 +1169,7 @@ ServeReport RunSyntheticServe(const WorkloadRegistry& registry,
 
   std::vector<Request> arrivals =
       SyntheticArrivals(options, shares, registry.Names());
-  ServerPool pool(replicas, registry.Dataflows(), options.worker_threads);
+  ServerPool pool(replicas, registry.Dataflows());
   ServeStats stats(pool.size(), registry.size());
   for (WorkloadId w = 0; w < registry.size(); ++w) {
     stats.SetWorkloadName(w, registry.NameOf(w));

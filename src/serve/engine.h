@@ -80,7 +80,7 @@ struct ServeOptions {
   std::int64_t max_batch = 8;  // Batch former size cap.
   double max_wait_s = 5e-3;    // Batch former wait cap.
   std::uint64_t seed = 42;     // Arrival-process RNG seed.
-  int worker_threads = 0;      // 0 = hardware concurrency.
+  int worker_threads = 0;      // Ignored: the serve core is single-threaded.
   /// Arrival pattern (scenario.h). The default stationary Poisson
   /// reproduces the pre-scenario arrival stream bit-for-bit.
   ScenarioSpec scenario;

@@ -20,7 +20,6 @@
 // tests/event_core_test.cpp.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -76,22 +75,20 @@ struct Event {
 };
 
 namespace detail {
-/// The serve-path allocation counter behind `allocation_count()` — the
-/// exact shape of Tensor's: an inline static atomic, bumped on every
-/// heap-spine growth and arena-block allocation.
+/// The serve-path allocation counter behind `allocation_count()`: an
+/// inline static tally, bumped on every heap-spine growth and arena-block
+/// allocation. The serve core runs on one caller, so a plain integer does.
 struct AllocationCounter {
-  inline static std::atomic<std::int64_t> count{0};
+  inline static std::int64_t count = 0;
 };
-inline void CountAllocation() {
-  AllocationCounter::count.fetch_add(1, std::memory_order_relaxed);
-}
+inline void CountAllocation() { ++AllocationCounter::count; }
 }  // namespace detail
 
 /// Total heap-spine growths + pool-arena blocks allocated so far,
 /// process-wide. Tests snapshot before/after a steady-state window and
 /// assert the delta is zero.
 inline std::int64_t allocation_count() {
-  return detail::AllocationCounter::count.load(std::memory_order_relaxed);
+  return detail::AllocationCounter::count;
 }
 
 /// Binary min-heap of Events keyed (t_s, class, seq). Storage is one flat

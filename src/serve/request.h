@@ -5,9 +5,8 @@
 // Timestamps are *virtual* seconds on the serving timeline: arrivals are
 // stamped by the open-loop generator, batch close times by the forming
 // policy, and completion times by the replica dispatch sweep. The engine
-// advances that timeline on one thread and never reads the wall clock (the
-// pool's warm-up threads only fill a pure latency cache), so a serve run is
-// bit-reproducible under a fixed RNG seed.
+// advances that timeline on one thread and never reads the wall clock, so a
+// serve run is bit-reproducible under a fixed RNG seed.
 #pragma once
 
 #include <cstdint>

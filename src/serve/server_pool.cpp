@@ -1,10 +1,7 @@
 #include "serve/server_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
-#include <set>
-#include <thread>
 #include <utility>
 
 #include "arch/fastpath.h"
@@ -55,8 +52,8 @@ AcceleratorDesign RefitDesign(AcceleratorDesign design,
 }
 
 ServerPool::ServerPool(std::vector<AcceleratorDesign> designs,
-                       const DataflowGraph& dfg, int worker_threads)
-    : dfgs_({&dfg}), worker_threads_(worker_threads) {
+                       const DataflowGraph& dfg)
+    : dfgs_({&dfg}) {
   std::vector<ReplicaSpec> specs;
   specs.reserve(designs.size());
   for (auto& design : designs) {
@@ -69,9 +66,8 @@ ServerPool::ServerPool(std::vector<AcceleratorDesign> designs,
 }
 
 ServerPool::ServerPool(const std::vector<ReplicaSpec>& specs,
-                       std::vector<const DataflowGraph*> workload_dfgs,
-                       int worker_threads)
-    : dfgs_(std::move(workload_dfgs)), worker_threads_(worker_threads) {
+                       std::vector<const DataflowGraph*> workload_dfgs, int)
+    : dfgs_(std::move(workload_dfgs)) {
   NSF_CHECK_MSG(!dfgs_.empty(), "a pool needs at least one workload");
   for (const DataflowGraph* dfg : dfgs_) {
     NSF_CHECK_MSG(dfg != nullptr, "workload dataflow graph is null");
@@ -81,10 +77,6 @@ ServerPool::ServerPool(const std::vector<ReplicaSpec>& specs,
 
 void ServerPool::Init(const std::vector<ReplicaSpec>& specs) {
   NSF_CHECK_MSG(!specs.empty(), "a pool needs at least one replica");
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  worker_threads_ =
-      worker_threads_ > 0 ? worker_threads_ : static_cast<int>(hw);
-
   kind_.reserve(specs.size());
   replicas_.reserve(specs.size());
   designs_.reserve(specs.size());
@@ -211,6 +203,7 @@ int ServerPool::KindFor(const ReplicaSpec& spec) {
   }
   distinct_designs_.push_back(spec.design);
   kind_tuned_for_.push_back(spec.tuned_for);
+  latencies_.resize(distinct_designs_.size() * dfgs_.size());
   return static_cast<int>(distinct_designs_.size()) - 1;
 }
 
@@ -296,32 +289,23 @@ double ServerPool::BatchSeconds(int replica, WorkloadId workload,
   NSF_CHECK(replica >= 0 && replica < size());
   NSF_CHECK(workload >= 0 && workload < workloads());
   NSF_CHECK_MSG(batch_size >= 1, "batch size must be positive");
-  const Key key{kind_[static_cast<std::size_t>(replica)], workload,
-                batch_size};
-  {
-    // Warm path: concurrent replicas share the read lock — no
-    // serialization on cache hits.
-    std::shared_lock<std::shared_mutex> lock(cache_mu_);
-    const auto it = latency_cache_.find(key);
-    if (it != latency_cache_.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
+  const int kind = kind_[static_cast<std::size_t>(replica)];
+  LatencySlot& slot = Slot(kind, workload);
+  const auto b = static_cast<std::size_t>(batch_size);
+  if (b <= slot.seconds.size() && slot.seconds[b - 1] != 0.0) {
+    ++cache_hits_;
+    return slot.seconds[b - 1];
   }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-
-  // Timing-only fast path: the cycle model is a pure function of
-  // (design, dfg, batch size), so no scratch Accelerator and no tensor
-  // data are needed. The expensive part — the loop equations — is
-  // memoized single-flight per (kind, workload) inside ServingModelFor
-  // (a double evaluation is impossible, not just benign); what remains
-  // here is an O(1) derivation two racing warmers may both perform, with
-  // bit-identical results.
-  const double seconds = ServingModelFor(key.kind, workload)
-                             .BatchSeconds(static_cast<int>(batch_size));
-  std::unique_lock<std::shared_mutex> lock(cache_mu_);
-  latency_cache_.emplace(key, seconds);  // Second racer's insert is a no-op.
-  return seconds;
+  ++cache_misses_;
+  // Timing-only fast path: the cycle model is a pure function of (design,
+  // dfg, batch size), so no scratch Accelerator and no tensor data are
+  // needed, and each batch size derives from the slot's model in O(1).
+  const arch::ServingModel& model = ModelFor(kind, workload);
+  if (slot.seconds.size() < b) {
+    slot.seconds.resize(b, 0.0);
+  }
+  slot.seconds[b - 1] = model.BatchSeconds(static_cast<int>(batch_size));
+  return slot.seconds[b - 1];
 }
 
 void ServerPool::AttachMetrics(obs::MetricsRegistry* registry) {
@@ -347,59 +331,25 @@ void ServerPool::PublishCacheMetrics() {
   published_misses_ = misses;
 }
 
-arch::ServingModel ServerPool::ServingModelFor(int kind,
-                                               WorkloadId workload) {
-  const std::pair<int, WorkloadId> key{kind, workload};
-  {
-    std::shared_lock<std::shared_mutex> lock(cache_mu_);
-    const auto it = model_cache_.find(key);
-    if (it != model_cache_.end()) {
-      const std::shared_future<arch::ServingModel> hit = it->second;
-      lock.unlock();
-      return hit.get();
-    }
-  }
-  std::promise<arch::ServingModel> promise;
-  {
-    std::unique_lock<std::shared_mutex> lock(cache_mu_);
-    const auto it = model_cache_.find(key);
-    if (it != model_cache_.end()) {
-      const std::shared_future<arch::ServingModel> hit = it->second;
-      lock.unlock();
-      return hit.get();
-    }
-    model_cache_.emplace(key, promise.get_future().share());
-  }
-  // Provenance decides the allocation: the workload the design was DSE'd
-  // for keeps its Phase II tuned nl/nv, every other tenant gets the
-  // RefitDesign schedule.
-  const DataflowGraph& dfg = *dfgs_[static_cast<std::size_t>(workload)];
-  const auto& hardware = distinct_designs_[static_cast<std::size_t>(kind)];
-  const bool tuned =
-      IsTunedFor(kind_tuned_for_[static_cast<std::size_t>(kind)], workload);
-  try {
-    const arch::ServingModel model =
-        arch::BuildServingModel(hardware, dfg, tuned);
-    promise.set_value(model);
-    return model;
-  } catch (...) {
-    {
-      std::unique_lock<std::shared_mutex> lock(cache_mu_);
-      model_cache_.erase(key);
-    }
-    promise.set_exception(std::current_exception());
-    throw;
-  }
+ServerPool::LatencySlot& ServerPool::Slot(int kind, WorkloadId workload) {
+  return latencies_[static_cast<std::size_t>(kind) * dfgs_.size() +
+                    static_cast<std::size_t>(workload)];
 }
 
-void ServerPool::WarmLatencyCache(const std::vector<Batch>& batches) {
-  // Distinct (workload, size) work items: every capable replica kind must
-  // be able to serve every batch shape that occurs.
-  std::set<std::pair<WorkloadId, std::int64_t>> pairs;
-  for (const auto& batch : batches) {
-    pairs.insert({batch.workload, batch.size()});
+const arch::ServingModel& ServerPool::ModelFor(int kind,
+                                               WorkloadId workload) {
+  LatencySlot& slot = Slot(kind, workload);
+  if (!slot.built) {
+    // Provenance decides the allocation: the workload the design was DSE'd
+    // for keeps its Phase II tuned nl/nv, every other tenant gets the
+    // RefitDesign schedule.
+    slot.model = arch::BuildServingModel(
+        distinct_designs_[static_cast<std::size_t>(kind)],
+        *dfgs_[static_cast<std::size_t>(workload)],
+        IsTunedFor(kind_tuned_for_[static_cast<std::size_t>(kind)], workload));
+    slot.built = true;
   }
-  WarmPairs({pairs.begin(), pairs.end()});
+  return slot.model;
 }
 
 void ServerPool::WarmBatchSizes(std::int64_t max_batch) {
@@ -413,97 +363,35 @@ void ServerPool::WarmBatchSizes(std::int64_t max_batch) {
 void ServerPool::WarmBatchSizes(std::int64_t max_batch,
                                 const std::vector<WorkloadId>& only) {
   NSF_CHECK_MSG(max_batch >= 1, "max_batch must be positive");
-  // Built in (workload, size) order — already sorted and duplicate-free
-  // unless the caller listed a workload twice, which dedup below absorbs.
-  std::vector<std::pair<WorkloadId, std::int64_t>> pairs;
-  pairs.reserve(only.size() * static_cast<std::size_t>(max_batch));
+  // A (kind, workload) slot is warmed when some replica of that kind is
+  // deployed for the workload.
+  std::vector<bool> capable(latencies_.size(), false);
+  for (int r = 0; r < size(); ++r) {
+    const auto r_index = static_cast<std::size_t>(r);
+    for (std::size_t w = 0; w < dfgs_.size(); ++w) {
+      if (serves_[r_index][w]) {
+        capable[static_cast<std::size_t>(kind_[r_index]) * dfgs_.size() + w] =
+            true;
+      }
+    }
+  }
+  const auto cap = static_cast<std::size_t>(max_batch);
   for (const WorkloadId w : only) {
     NSF_CHECK(w >= 0 && w < workloads());
-    for (std::int64_t s = 1; s <= max_batch; ++s) {
-      pairs.emplace_back(w, s);
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  WarmPairs(pairs);
-}
-
-void ServerPool::WarmPairs(
-    const std::vector<std::pair<WorkloadId, std::int64_t>>& pairs) {
-  // One work item per (kind, workload, size) where some replica of that
-  // kind is deployed for the workload; kind_replica routes the evaluation
-  // through BatchSeconds.
-  std::vector<Key> work;
-  std::vector<int> kind_replica;
-  for (std::size_t k = 0; k < distinct_designs_.size(); ++k) {
-    kind_replica.push_back(-1);
-    for (int r = 0; r < size(); ++r) {
-      if (kind_[static_cast<std::size_t>(r)] == static_cast<int>(k)) {
-        kind_replica.back() = r;
-        break;
+    for (int k = 0; k < static_cast<int>(distinct_designs_.size()); ++k) {
+      if (!capable[static_cast<std::size_t>(k) * dfgs_.size() +
+                   static_cast<std::size_t>(w)]) {
+        continue;
+      }
+      const arch::ServingModel& model = ModelFor(k, w);
+      std::vector<double>& seconds = Slot(k, w).seconds;
+      if (seconds.size() < cap) {
+        seconds.resize(cap, 0.0);
+      }
+      for (std::size_t b = 1; b <= cap; ++b) {
+        seconds[b - 1] = model.BatchSeconds(static_cast<int>(b));
       }
     }
-    for (const auto& [w, s] : pairs) {
-      bool capable = false;
-      for (int r = 0; r < size() && !capable; ++r) {
-        capable = kind_[static_cast<std::size_t>(r)] == static_cast<int>(k) &&
-                  CanServe(r, w);
-      }
-      if (capable) {
-        work.push_back(Key{static_cast<int>(k), w, s});
-      }
-    }
-  }
-  if (work.empty()) {
-    return;
-  }
-
-  // The fast-path estimator makes each evaluation sub-microsecond, so the
-  // worker pool only pays for itself on big sweeps; small warm-ups run
-  // inline — spawning even one thread would dominate the whole warm-up.
-  // The inline path exploits that `work` is grouped by (kind, workload):
-  // one model fetch per group, every batch size derived locally, and a
-  // single write-lock round publishing the whole fill.
-  constexpr std::size_t kParallelWarmThreshold = 1024;
-  if (work.size() < kParallelWarmThreshold) {
-    std::vector<std::pair<Key, double>> fill;
-    fill.reserve(work.size());
-    int model_kind = -1;
-    WorkloadId model_workload = kTunedForNone;
-    arch::ServingModel model;
-    for (const Key& item : work) {
-      if (item.kind != model_kind || item.workload != model_workload) {
-        model = ServingModelFor(item.kind, item.workload);
-        model_kind = item.kind;
-        model_workload = item.workload;
-      }
-      fill.emplace_back(item,
-                        model.BatchSeconds(static_cast<int>(item.batch_size)));
-    }
-    std::unique_lock<std::shared_mutex> lock(cache_mu_);
-    latency_cache_.reserve(latency_cache_.size() + fill.size());
-    for (auto& [key, seconds] : fill) {
-      latency_cache_.emplace(key, seconds);  // No-ops on already-warm keys.
-    }
-    return;
-  }
-
-  const int threads =
-      std::min<int>(worker_threads_, static_cast<int>(work.size()));
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&] {
-      for (std::size_t i = next.fetch_add(1); i < work.size();
-           i = next.fetch_add(1)) {
-        BatchSeconds(kind_replica[static_cast<std::size_t>(work[i].kind)],
-                     work[i].workload, work[i].batch_size);
-      }
-    });
-  }
-  for (auto& worker : workers) {
-    worker.join();
   }
 }
 
@@ -877,7 +765,6 @@ DispatchRecord ServerPool::Dispatch(const Batch& batch, ServeStats* stats,
 
 std::vector<DispatchRecord> ServerPool::Dispatch(
     const std::vector<Batch>& batches, ServeStats* stats) {
-  WarmLatencyCache(batches);
   ResetSchedule();
 
   // Backlog accounting: arrivals that have entered the system but whose

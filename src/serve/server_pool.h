@@ -10,15 +10,15 @@
 //
 // Dispatch splits into two concerns:
 //   1. Cycle-model evaluation — one estimate per distinct (design kind,
-//      workload, batch size) triple, memoized under a reader/writer lock.
-//      Evaluation goes through the timing-only fast path
-//      (`arch::EstimateServingBatchSeconds`): no scratch `Accelerator`, no
-//      tensor movement, just the closed-form cycle equations, bit-matching
-//      what a functional `RunWorkloadBatch` on a deployed replica would
-//      report (tests/fastpath_test.cpp). Cold misses are single-flight —
-//      racing warmers share one computation through a `shared_future` —
-//      and warm hits take only a `shared_lock`, so concurrent replicas
-//      never serialize on the cache.
+//      workload, batch size) triple, kept in a dense latency table: one slot
+//      per (kind, workload) holding the batch-size-independent
+//      `arch::ServingModel` and the batched seconds derived from it, indexed
+//      by batch size. The loop equations run once per slot, on first need;
+//      every batch size then costs O(1) flops to fill and one index read to
+//      look up. Evaluation goes through the timing-only fast path: no
+//      scratch `Accelerator`, no tensor movement, just the closed-form cycle
+//      equations, bit-matching what a functional `RunWorkloadBatch` on a
+//      deployed replica would report (tests/fastpath_test.cpp).
 //   2. A deterministic schedule assigns each formed batch to the
 //      earliest-available *capable* replica, ties broken by the lowest
 //      replica id, and stamps per-request completion times on the virtual
@@ -31,18 +31,16 @@
 // probes are one read of the heap's top, and a dispatch re-keys the chosen
 // replica in O(log R) per workload it serves, without allocating
 // (docs/PERFORMANCE.md, "Replica selection").
-// Splitting model evaluation from assignment keeps results independent of
-// thread scheduling: same designs + same batch stream -> same dispatch.
+// One caller drives a pool, like the rest of the serve core: the table, the
+// index and the tallies are plain data, and the same designs + the same
+// batch stream give the same dispatch.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <future>
 #include <limits>
-#include <map>
 #include <memory>
-#include <shared_mutex>
-#include <unordered_map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/fastpath.h"
@@ -124,18 +122,16 @@ struct DispatchRecord {
 class ServerPool {
  public:
   /// Single-workload pool: one replica per design in `designs` (all
-  /// referencing `dfg`, which must outlive the pool). `worker_threads` == 0
-  /// picks the hardware concurrency.
-  ServerPool(std::vector<AcceleratorDesign> designs, const DataflowGraph& dfg,
-             int worker_threads = 0);
+  /// referencing `dfg`, which must outlive the pool).
+  ServerPool(std::vector<AcceleratorDesign> designs, const DataflowGraph& dfg);
 
   /// Multi-tenant pool: `workload_dfgs[w]` is workload `w`'s compiled
   /// dataflow graph (all must outlive the pool; a WorkloadRegistry's
   /// `Dataflows()` is the usual source). Every workload must be servable by
-  /// at least one replica.
+  /// at least one replica. The trailing `int` is ignored; it is kept only
+  /// for callers that still pass `ServeOptions::worker_threads`.
   ServerPool(const std::vector<ReplicaSpec>& specs,
-             std::vector<const DataflowGraph*> workload_dfgs,
-             int worker_threads = 0);
+             std::vector<const DataflowGraph*> workload_dfgs, int = 0);
 
   int size() const { return static_cast<int>(replicas_.size()); }
   int workloads() const { return static_cast<int>(dfgs_.size()); }
@@ -145,18 +141,19 @@ class ServerPool {
   bool CanServe(int replica, WorkloadId workload) const;
 
   /// Batched service seconds for `batch_size` requests of `workload` on
-  /// `replica` (memoized cycle-model evaluation).
+  /// `replica`: a latency-table read when the slot is filled (a cache hit),
+  /// else the slot is filled first (a cache miss).
   double BatchSeconds(int replica, std::int64_t batch_size) {
     return BatchSeconds(replica, 0, batch_size);
   }
   double BatchSeconds(int replica, WorkloadId workload,
                       std::int64_t batch_size);
 
-  /// Pre-evaluate every (replica kind, served workload, batch size <=
-  /// max_batch) triple on the worker-thread pool, so later dispatches are
-  /// pure cache hits. The restricted overload warms only the listed
-  /// workloads (e.g. the ones with traffic in the mix — idle tenants stay
-  /// lazily memoized).
+  /// Fill the latency table for every (replica kind, served workload,
+  /// batch size <= max_batch) triple, so later dispatches are pure cache
+  /// hits. Counts neither hits nor misses. The restricted overload warms
+  /// only the listed workloads (e.g. the ones with traffic in the mix —
+  /// idle tenants are filled on first lookup).
   void WarmBatchSizes(std::int64_t max_batch);
   void WarmBatchSizes(std::int64_t max_batch,
                       const std::vector<WorkloadId>& only);
@@ -191,7 +188,7 @@ class ServerPool {
 
   // ---- Warm reconfiguration (the autoscaler's PoolDelta surface). All
   // times are virtual seconds; every operation is safe mid-flight: batches
-  // already dispatched complete on their replica, and future dispatch
+  // already dispatched complete on their replica, and later dispatch
   // routes around draining replicas.
 
   /// Provision a new replica per `spec`, free (and billed) from `ready_s`
@@ -297,20 +294,16 @@ class ServerPool {
   std::vector<DispatchRecord> Dispatch(const std::vector<Batch>& batches,
                                        ServeStats* stats);
 
-  /// Publish the latency-cache hit/miss tallies into `registry`
+  /// Publish the latency-table hit/miss tallies into `registry`
   /// (`pool.cache_hits` / `pool.cache_misses`). Null detaches. The hot
-  /// BatchSeconds path only bumps local atomics; the counters are flushed
+  /// BatchSeconds path only bumps plain tallies; the counters are flushed
   /// here and on each PublishCacheMetrics call.
   void AttachMetrics(obs::MetricsRegistry* registry);
   /// Copy the current tallies into the attached counters (no-op when
   /// detached). The engine calls this once post-run.
   void PublishCacheMetrics();
-  std::int64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  std::int64_t cache_misses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
+  std::int64_t cache_hits() const { return cache_hits_; }
+  std::int64_t cache_misses() const { return cache_misses_; }
 
  private:
   /// One replica-selection index: a binary min-heap of (free_at, replica
@@ -338,33 +331,16 @@ class ServerPool {
     std::vector<int> pos_;  // Per replica id: its heap slot, -1 if absent.
   };
 
-  /// Replicas sharing a design share cache entries; kind_[r] indexes the
-  /// distinct-design table. The workload id completes the key because the
-  /// cycle model is a function of (design, dataflow graph, batch size).
-  struct Key {
-    int kind;
-    WorkloadId workload;
-    std::int64_t batch_size;
-    bool operator<(const Key& other) const {
-      if (kind != other.kind) return kind < other.kind;
-      if (workload != other.workload) return workload < other.workload;
-      return batch_size < other.batch_size;
-    }
-    bool operator==(const Key& other) const {
-      return kind == other.kind && workload == other.workload &&
-             batch_size == other.batch_size;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      // Kinds and workloads are small dense ids; batch sizes are small.
-      // Mixing by large odd constants spreads them over the table.
-      auto h = static_cast<std::size_t>(key.batch_size);
-      h = h * 0x9e3779b97f4a7c15ull + static_cast<std::size_t>(key.kind);
-      h = h * 0x9e3779b97f4a7c15ull +
-          static_cast<std::size_t>(key.workload);
-      return h;
-    }
+  /// One (design kind, workload) slot of the latency table: the
+  /// batch-size-independent serving model, built on first need, and the
+  /// batched seconds derived from it, `seconds[b - 1]` for batch size `b`
+  /// (0 until filled). Replicas sharing a design share slots; the workload
+  /// completes the key because the cycle model is a function of (design,
+  /// dataflow graph, batch size).
+  struct LatencySlot {
+    bool built = false;
+    arch::ServingModel model;
+    std::vector<double> seconds;
   };
 
   void Init(const std::vector<ReplicaSpec>& specs);
@@ -414,24 +390,18 @@ class ServerPool {
   /// `node` < 0, else that cluster node's (null for a node no capable
   /// replica was ever pinned to).
   const FreeSet* Selectable(WorkloadId workload, int node) const;
-  /// Kind index for `spec` (dedup against existing kinds, else a new one).
+  /// Kind index for `spec` (dedup against existing kinds, else a new one,
+  /// which grows the latency table by one row of slots).
   int KindFor(const ReplicaSpec& spec);
   /// Whether a design with provenance `tuned_for` carries a tuned
   /// allocation for `workload` (same id, or two ids aliasing the same
   /// dataflow graph instance).
   bool IsTunedFor(WorkloadId tuned_for, WorkloadId workload) const;
-  /// Batch-size-independent serving model for one (design kind, workload),
-  /// memoized single-flight: the loop equations run once per pair, and
-  /// every batch size derives from the cached model in O(1) flops.
-  arch::ServingModel ServingModelFor(int kind, WorkloadId workload);
-  /// Evaluate every (kind, workload, batch size) triple `batches` needs, in
-  /// parallel.
-  void WarmLatencyCache(const std::vector<Batch>& batches);
-  /// Evaluate the given (workload, size) pairs — sorted, duplicate-free —
-  /// for every capable kind (inline for small sweeps, worker threads for
-  /// large ones).
-  void WarmPairs(
-      const std::vector<std::pair<WorkloadId, std::int64_t>>& pairs);
+  /// The latency-table slot of (kind, workload).
+  LatencySlot& Slot(int kind, WorkloadId workload);
+  /// The slot's serving model, built on first need: the loop equations run
+  /// once per slot. A throwing build leaves the slot unbuilt.
+  const arch::ServingModel& ModelFor(int kind, WorkloadId workload);
 
   std::vector<const DataflowGraph*> dfgs_;           // Per workload.
   std::vector<AcceleratorDesign> designs_;           // Per replica.
@@ -471,27 +441,15 @@ class ServerPool {
   std::vector<std::vector<DeadSpan>> dead_;          // Per replica.
   std::vector<std::vector<DerateSpan>> derates_;     // Per replica.
   bool has_derates_ = false;
-  /// Last census (CensusAt). Single-threaded state, like the selection
-  /// index: one thread drives the pool.
+  /// Last census (CensusAt). Plain state, like the selection index: one
+  /// caller drives the pool.
   mutable Census census_;
   std::int64_t dispatched_batches_ = 0;
-  int worker_threads_;
 
-  /// Reader/writer caches: warm hits share the lock, so concurrent
-  /// replicas never serialize. The model cache holds the batch-size-
-  /// independent loop-equation result per (kind, workload) behind a
-  /// single-flight `shared_future` — racing warmers wait on one evaluation
-  /// instead of re-running it. The latency cache then memoizes the O(1)
-  /// per-batch-size derivation as plain doubles (re-deriving a few flops
-  /// on a race is harmless; both writers produce the identical value).
-  mutable std::shared_mutex cache_mu_;
-  std::unordered_map<Key, double, KeyHash> latency_cache_;
-  std::map<std::pair<int, WorkloadId>, std::shared_future<arch::ServingModel>>
-      model_cache_;
-
-  /// Warm-path tallies (relaxed atomics — worker threads race on them).
-  std::atomic<std::int64_t> cache_hits_{0};
-  std::atomic<std::int64_t> cache_misses_{0};
+  /// The latency table, `latencies_[kind * workloads() + workload]`.
+  std::vector<LatencySlot> latencies_;
+  std::int64_t cache_hits_ = 0;    // BatchSeconds lookups of a filled slot
+  std::int64_t cache_misses_ = 0;  // and of an unfilled one.
   obs::Counter* cache_hit_counter_ = nullptr;     // Set by AttachMetrics.
   obs::Counter* cache_miss_counter_ = nullptr;
   std::int64_t published_hits_ = 0;    // Tally already flushed to the

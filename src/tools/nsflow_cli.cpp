@@ -120,8 +120,6 @@ const std::vector<CommandSpec>& Commands() {
            {"--max-batch", "N", "8", "batch former size cap"},
            {"--max-wait-ms", "F", "5", "batch former wait cap, ms"},
            {"--seed", "N", "42", "arrival-trace RNG seed"},
-           {"--threads", "N", "0",
-            "cycle-model warm-up threads (0 = hardware concurrency)"},
            {"--heterogeneous", "", "off",
             "single-workload pools: replica designs from the DSE pareto"
             " frontier"},
@@ -196,7 +194,6 @@ const std::vector<CommandSpec>& Commands() {
            {"--max-replicas", "N", "16", "per-workload replica search bound"},
            {"--duration", "F", "1.0", "validation-run trace length, seconds"},
            {"--seed", "N", "42", "validation-run RNG seed"},
-           {"--threads", "N", "0", "validation-run warm-up threads"},
            {"--out", "FILE", "off", "write the PoolPlan JSON here"},
            {"--validate", "", "off",
             "run the planned pool and print predicted vs measured"},
@@ -381,8 +378,6 @@ CliArgs Parse(int argc, char** argv) {
       args.max_wait_set = true;
     } else if (flag == "--seed") {
       args.serve.seed = static_cast<std::uint64_t>(std::stoull(next()));
-    } else if (flag == "--threads") {
-      args.serve.worker_threads = static_cast<int>(std::stoll(next()));
     } else if (flag == "--heterogeneous") {
       args.heterogeneous = true;
     } else if (flag == "--mix") {

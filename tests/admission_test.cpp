@@ -436,7 +436,7 @@ TEST(AdmissionTest, LiveFractionCountsEachDarkReplicaOnce) {
   registry.RegisterBuiltin("mlp");
   registry.RegisterBuiltin("resnet18");
   // Partitioned: mlp on replicas {0, 2}, resnet18 on {1, 3}.
-  ServerPool pool(registry.ReplicaSpecs(4, true), registry.Dataflows(), 1);
+  ServerPool pool(registry.ReplicaSpecs(4, true), registry.Dataflows());
   EXPECT_EQ(pool.LiveFraction(0.5), 1.0);
   pool.FailReplica(0, 1.0, 3.0);
   EXPECT_EQ(pool.LiveFraction(1.5), 0.75);
@@ -513,7 +513,7 @@ TEST(AdmissionTest, CensusMatchesBruteForceRecountAcrossPoolChanges) {
     const auto pick = [&rng](int n) {
       return std::uniform_int_distribution<int>(0, n - 1)(rng);
     };
-    ServerPool pool(base, registry.Dataflows(), 1);
+    ServerPool pool(base, registry.Dataflows());
     std::vector<double> instants = {0.0};  // Fail/recover instants too.
     std::int64_t request_id = 0;
     double now = 0.0;

@@ -62,7 +62,6 @@ ServeOptions FaultRunOptions(double duration_s) {
   options.qps = 20000.0;
   options.duration_s = duration_s;
   options.seed = 7;
-  options.worker_threads = 1;
   options.cluster = ClusterSpec::Parse("least-loaded:nodes=2");
   options.adversity = AdversitySpec::Parse(
       "replica-fail:at=" + Num(duration_s * 0.25) +

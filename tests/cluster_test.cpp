@@ -343,7 +343,7 @@ TEST(ServerPoolIndexTest, RandomOperationSequencesMatchBruteForceScan) {
     for (int i = 0; i < 4; ++i) {
       specs.push_back(random_spec());
     }
-    ServerPool pool(specs, registry.Dataflows(), 1);
+    ServerPool pool(specs, registry.Dataflows());
     for (int r = 0; r < pool.size(); ++r) {
       pool.SetReplicaNode(r, pick(kNodes));
     }

@@ -3,8 +3,9 @@
 //
 // Three layers:
 //
-//   1. The differential matrix — golden digests recorded from the
-//      pre-rewrite polling build, which every matrix row must reproduce
+//   1. The differential matrix — golden digests (first recorded from the
+//      polling engine this core replaced, regenerated only on purpose;
+//      see serve_differential.h), which every matrix row must reproduce
 //      byte-for-byte, plus the trace-invariant checker
 //      (tests/trace_invariants.h) run on every row, which holds on any
 //      toolchain.
@@ -88,8 +89,7 @@ TEST(EventCoreDifferential, MatrixMatchesPreRewriteGolden) {
   if (regen) {
     std::ofstream out(GoldenPath());
     ASSERT_TRUE(out.good()) << "cannot write " << GoldenPath();
-    out << "# Serve-engine differential digests (pre-rewrite polling "
-           "build).\n"
+    out << "# Serve-engine differential digests (event-core build).\n"
         << "# One row per matrix config: key digest exit_code — see\n"
         << "# tests/serve_differential.h for the serialization.\n"
         << "fingerprint " << fingerprint << "\n";

@@ -8,6 +8,8 @@
 // simulator remains the cross-checked reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -135,6 +137,96 @@ TEST(FastPathContract, ServerPoolBatchSecondsMatchesFunctionalSim) {
                 functional.RunWorkloadBatch(batch));
     }
   }
+
+  // The latency table against the estimator, on a pool of several kinds:
+  // one partitioned replica per workload, then two shared replicas of one
+  // spec (one kind). `deployed` mirrors each replica's spec.
+  const int workloads = registry.size();
+  constexpr std::int64_t kMaxBatch = 8;
+  std::vector<serve::ReplicaSpec> deployed =
+      registry.ReplicaSpecs(workloads, /*partitioned=*/true);
+  // The builtins' own DSE allocations price the same as the refit schedule,
+  // so nvsa's replica gets a hand-set one (one sub-array per kernel) for
+  // its tuned_for provenance to show in the seconds.
+  serve::ReplicaSpec& hand_set =
+      deployed[static_cast<std::size_t>(registry.IdOf("nvsa"))];
+  std::fill(hand_set.design.nl.begin(), hand_set.design.nl.end(), 1);
+  std::fill(hand_set.design.nv.begin(), hand_set.design.nv.end(), 1);
+  const int shared = workloads;  // First of the two shared replicas.
+  deployed.push_back(specs[0]);
+  deployed.push_back(specs[0]);
+  serve::ServerPool table(deployed, registry.Dataflows());
+  // Every capable (replica, workload, batch) triple, to twice the cap,
+  // equals the estimator. The first lookup of a triple hits when its batch
+  // size is within `warmed_cap`; a repeat always hits.
+  const auto expect_estimates = [&](std::int64_t warmed_cap) {
+    for (int r = 0; r < table.size(); ++r) {
+      const serve::ReplicaSpec& spec = deployed[static_cast<std::size_t>(r)];
+      for (serve::WorkloadId w = 0; w < workloads; ++w) {
+        if (!table.CanServe(r, w)) {
+          continue;
+        }
+        const DataflowGraph& dfg = registry.dataflow(w);
+        for (int batch = 1; batch <= 2 * kMaxBatch; ++batch) {
+          SCOPED_TRACE("replica " + std::to_string(r) + ", " +
+                       registry.NameOf(w) + ", batch " +
+                       std::to_string(batch));
+          const double estimate = arch::EstimateServingBatchSeconds(
+              spec.design, dfg, batch, spec.tuned_for == w);
+          const std::int64_t misses = table.cache_misses();
+          EXPECT_EQ(table.BatchSeconds(r, w, batch), estimate);
+          if (batch <= warmed_cap) {
+            EXPECT_EQ(table.cache_misses(), misses);
+          }
+          const std::int64_t hits = table.cache_hits();
+          EXPECT_EQ(table.BatchSeconds(r, w, batch), estimate);
+          EXPECT_EQ(table.cache_hits(), hits + 1);
+        }
+      }
+    }
+  };
+
+  // Warm-up fills the table up to the cap and counts neither hits nor
+  // misses.
+  table.WarmBatchSizes(kMaxBatch);
+  EXPECT_EQ(table.cache_hits(), 0);
+  EXPECT_EQ(table.cache_misses(), 0);
+  // A warmed triple hits. The first lookup of an unwarmed one misses, its
+  // repeats hit, and so does the same triple on a replica of the same kind.
+  table.BatchSeconds(shared, 1, kMaxBatch);
+  EXPECT_EQ(table.cache_hits(), 1);
+  EXPECT_EQ(table.cache_misses(), 0);
+  table.BatchSeconds(shared, 1, kMaxBatch + 1);
+  EXPECT_EQ(table.cache_hits(), 1);
+  EXPECT_EQ(table.cache_misses(), 1);
+  table.BatchSeconds(shared, 1, kMaxBatch + 1);
+  table.BatchSeconds(shared + 1, 1, kMaxBatch + 1);
+  EXPECT_EQ(table.cache_hits(), 3);
+  EXPECT_EQ(table.cache_misses(), 1);
+  expect_estimates(kMaxBatch);
+
+  // A replica of a new kind (no provenance: every workload refit) starts
+  // with an empty row of slots.
+  serve::ReplicaSpec fresh = specs[1];
+  fresh.tuned_for = serve::kTunedForNone;
+  deployed.push_back(fresh);
+  const int added = table.AddReplica(fresh, /*ready_s=*/0.0);
+  const std::int64_t misses_before_add = table.cache_misses();
+  table.BatchSeconds(added, 0, 1);
+  EXPECT_EQ(table.cache_misses(), misses_before_add + 1);
+  expect_estimates(0);
+
+  // A refit to another workload set, on the shared replicas' spec, moves
+  // the replica to their kind: it reads their filled slots.
+  serve::ReplicaSpec refit = specs[0];
+  refit.workloads = {2, 3};
+  deployed[0] = refit;
+  table.RefitInPlace(0, refit, /*ready_s=*/0.0);
+  ASSERT_TRUE(table.CanServe(0, 2));
+  ASSERT_FALSE(table.CanServe(0, 0));
+  const std::int64_t misses_before_refit = table.cache_misses();
+  expect_estimates(2 * kMaxBatch);
+  EXPECT_EQ(table.cache_misses(), misses_before_refit);
 }
 
 TEST(FastPathContract, EstimatorNeverAllocatesATensor) {

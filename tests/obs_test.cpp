@@ -381,6 +381,33 @@ TEST(ObsServeTest, FaultRunSnapshotsCountCompletionsAsTheClockPasses) {
 
 // ------------------------------------------------------------------ logger
 
+// Periodic snapshot k is stamped at exactly k x interval. At an interval that is not
+// a binary fraction, stepping the clock by repeated addition drifts: ten
+// steps of 0.1 reach 0.99999999999999989, not 1.
+TEST(ObsServeTest, SnapshotStampsAreWholeMultiplesOfTheInterval) {
+  serve::WorkloadRegistry registry;
+  registry.RegisterBuiltin("mlp");
+  serve::ServeOptions options;
+  options.qps = 200.0;
+  options.duration_s = 1.5;
+  options.seed = 7;
+  options.trace.enabled = true;
+  options.trace.snapshot_interval_s = 0.1;
+  const serve::ServeReport report = serve::RunSyntheticServe(
+      registry, registry.ReplicaSpecs(2, /*partition=*/false),
+      {{"mlp", 1.0}}, options);
+  ASSERT_NE(report.obs, nullptr);
+
+  // The last point is the run's horizon, not a periodic snapshot.
+  const auto& timeline = report.obs->metrics.timeline();
+  ASSERT_GE(timeline.size(), 11u);
+  for (std::size_t i = 0; i + 1 < timeline.size(); ++i) {
+    EXPECT_EQ(timeline[i].t_s, static_cast<double>(i + 1) * 0.1)
+        << "snapshot " << i + 1;
+  }
+  EXPECT_EQ(timeline[9].t_s, 1.0);
+}
+
 TEST(ObsLoggingTest, SinkInjectionAndLevelFilter) {
   std::vector<LogRecord> captured;
   std::vector<std::string> messages;

@@ -1,14 +1,16 @@
 // Shared fixture + digest machinery for the serve-engine differential
 // harness (tests/event_core_test.cpp, docs/ENGINE.md).
 //
-// The event-core rewrite (ROADMAP item 4) replaced the engine's polling
-// interleave with a discrete-event driver; the contract is that every
-// fixed-seed run stays BYTE-identical — same stats table, same trace and
-// metrics files, same exit code. This header pins that contract as data:
-// each matrix configuration ({scenario} x {adversity} x {admission} x
-// {autoscale} x {seed}) reduces a full serve run to one FNV-1a digest over
-// every observable artifact, and the digests recorded from the pre-rewrite
-// polling build are checked in under tests/golden/.
+// The contract is that a change which does not mean to alter behaviour
+// leaves every fixed-seed run BYTE-identical — same stats table, same trace
+// and metrics files, same exit code. This header pins that contract as
+// data: each matrix configuration ({scenario} x {adversity} x {admission}
+// x {autoscale} x {seed}) reduces a full serve run to one FNV-1a digest
+// over every observable artifact, checked in under tests/golden/. The rows
+// were first recorded from the polling engine that the discrete-event
+// driver replaced (that engine is gone), and since then are regenerated
+// only on purpose, by a change whose CHANGES.md entry names the rows that
+// moved and why.
 //
 // Floating-point caveat: the digests cover double bit patterns, which are
 // only portable across toolchains that evaluate libm (exp/log in the

@@ -601,7 +601,7 @@ TEST(ServerPoolTest, SelectionIndexMatchesBruteForceArgmin) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
-    ServerPool pool(partitioned, registry.Dataflows(), /*worker_threads=*/1);
+    ServerPool pool(partitioned, registry.Dataflows());
     std::vector<double> up_at(partitioned.size(), 0.0);  // Outage warm-ups.
     double now = 0.0;
     std::int64_t next_id = 0;
